@@ -143,8 +143,7 @@ class Section {
   Section(const Section&) = delete;
   Section& operator=(const Section&) = delete;
 
-  /// Builds the section's fixtures (timed as set-up; may run repeatedly,
-  /// each call replacing the previous fixtures).
+  /// Builds the section's fixtures (timed as set-up).
   virtual void setup(std::uint64_t seed) = 0;
   /// Derives the run's inputs from the workload seed and clears the
   /// previous run's samples.

@@ -32,6 +32,7 @@
 
 #include "bench.h"
 #include "src/codebook/codebook.h"
+#include "src/codebook/compiler.h"
 #include "src/core/scenarios.h"
 #include "src/radio/transceiver.h"
 #include "src/serve/load_generator.h"
@@ -45,6 +46,8 @@ using namespace llama;
 constexpr std::size_t kDevices = 64;
 constexpr std::size_t kSurfaces = 4;
 constexpr std::size_t kShards = 2;
+/// Workers of the set-up codebook compile.
+constexpr int kWorkers = 2;
 constexpr double kPacedRateHz = 20'000.0;
 constexpr double kWindowS = 0.25;
 /// Requests per unpaced rep (~0.25 s at saturation on two shards).
@@ -97,11 +100,17 @@ class ServeSection final : public Section {
     topology_ = scenario_.topology;
     topology_.n_shards = kShards;
     topology_.admission = serve::AdmissionConfig::unlimited();
-    serve::ServingFleet first =
-        serve::build_serving_fleet(scenario_.config, scenario_.devices);
+    // The default overload's compile options, with the fixed worker count
+    // in place of one worker per hardware thread.
+    codebook::CompilerOptions compile;
+    compile.f_min = scenario_.config.frequency;
+    compile.f_max = scenario_.config.frequency;
+    compile.n_frequencies = 1;
+    compile.threads = kWorkers;
+    serve::ServingFleet first = serve::build_serving_fleet(
+        scenario_.config, scenario_.devices, compile);
     book_ = first.book;
     warm(first);
-    spare_.clear();
     spare_.push_back(std::move(first));
     spare_.push_back(make_fleet());
   }
