@@ -156,7 +156,9 @@ class Section {
   /// Untimed correctness checks against reference runs.
   virtual void check(Tally& tally) = 0;
   /// End-to-end metrics (untraced run) or per-layer metrics (traced run).
-  virtual void report(bool trace, const Tracer& tracer,
+  /// speed_scale converts a time measured in this run to the reference host
+  /// speed; end-to-end compute times are multiplied by it.
+  virtual void report(bool trace, const Tracer& tracer, double speed_scale,
                       Metrics& metrics) const = 0;
   /// Traced run only: traced over untraced value of the section's headline
   /// time metric, minus one.

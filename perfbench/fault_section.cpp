@@ -1,9 +1,12 @@
 // fault_track section: the sim-time tick loop. FleetTracker::run on
 // core::fault_drill_scenario(32, 4, 300) under fault::ResilientPolicy, with
 // the codebook compiled in set-up and the fault plan's seed taken from the
-// workload seed. Runs repeat until the section's time is up; tick_us is the
-// median run's wall time per tick. Every run must reproduce the first run's
-// fleet report exactly, and a 1-worker run must match the 2-worker runs.
+// workload seed. Runs repeat until the section's time is up. Its end-to-end
+// metric is the deterministic outage fraction; the wall time per tick is a
+// per-layer metric of the traced run (track.tick_us), because it moved with
+// the shared host three to five times as much as the offline ops did. Every
+// run must reproduce the first run's fleet report exactly, and a 1-worker
+// run must match the 2-worker runs.
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -94,7 +97,7 @@ class FaultSection final : public Section {
     scenario_.config.faults = plan;
     scenario_.config.deployment.threads = kWorkers;
     codebook::CompilerOptions options;
-    options.threads = kWorkers;
+    options.threads = 1;  // set-up compiles run on one worker
     book_ = std::make_unique<codebook::Codebook>(
         codebook::CodebookCompiler{
             core::device_system_config(scenario_.config.deployment,
@@ -174,15 +177,15 @@ class FaultSection final : public Section {
                 "fault_track report identical at 1 and 2 workers");
   }
 
-  void report(bool trace, const Tracer& tracer,
+  void report(bool trace, const Tracer& tracer, double speed_scale,
               Metrics& metrics) const override {
+    (void)speed_scale;  // the only end-to-end metric is not a time
     if (!trace) {
-      metrics.add("tick_us",
-                  median(untraced_ms_) * 1e3 / static_cast<double>(kTicks),
-                  "us");
       metrics.add("outage_frac", report_.mean_outage_fraction, "ratio");
       return;
     }
+    metrics.add("track.tick_us",
+                median(traced_ms_) * 1e3 / static_cast<double>(kTicks), "us");
     const double t1_ms = median(tracer.durations("track.run_t1")) / 1e6;
     metrics.add("track.run_t1_ms", t1_ms, "ms");
     metrics.add("track.efficiency", t1_ms / (kWorkers * median(traced_ms_)),

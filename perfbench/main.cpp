@@ -1,13 +1,16 @@
 // Repository benchmark driver.
 //
-//   perfbench --workload <serve_retune|offline_round|fault_track>
+//   perfbench --workload <serve_retune|offline_round>
 //             --seed <n> --seconds <s> --trace <0|1> [--trace-out <file>]
 //
 // The result line carries every end-to-end metric, so every run builds and
 // measures all three sections (serving runtime, offline round, fault-tracked
-// fleet); the workload's own section gets half of each round and the other
-// two a quarter each. Set-up is timed once for the measured sections and
+// fleet). Each round gives the workload's own section 60% of its time, the
+// other path 30% and the fault-tracked fleet, whose only end-to-end metric
+// is deterministic, 10%. Set-up is timed once for the measured sections and
 // once more per round on a fresh, discarded set, and reported as its median.
+// Before every step a fixed reference kernel is timed; set-up and the
+// offline ops are reported scaled to the reference host speed.
 // After the measuring window each section checks its outputs against
 // reference runs (1-shard replay, 1-worker runs, dense city). The last
 // stdout line is one JSON object: {"correct", "attempted", "failed",
@@ -16,6 +19,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -121,14 +125,48 @@ bool Tracer::write_jsonl(const std::string& path) const {
 
 namespace {
 
-/// Share of the measuring time the workload's own section gets; the other
-/// two split the rest.
-constexpr double kPrimaryShare = 0.5;
+/// Shares of each round's measuring time: the workload's own section, the
+/// other path's section, and the fault-tracked fleet.
+constexpr double kOwnShare = 0.6;
+constexpr double kOtherShare = 0.3;
+constexpr double kFaultShare = 0.1;
+constexpr const char* kFaultSection = "fault_track";
 /// One round gives every section one step; rounds repeat until the run's
 /// time is up, so each metric samples the whole run rather than one slice
 /// of it (neighbours on a shared VM come and go on a scale of seconds).
 constexpr double kRoundS = 2.0;
 constexpr double kWarmupS = 2.0;
+/// Reference kernel timings taken before every section step.
+constexpr int kReferenceReps = 4;
+/// Reference kernel time at the reference host speed [ns]: a round value
+/// inside the 140-250 us it took between runs on the 4-vCPU Xeon VM the
+/// benchmark was tuned on.
+constexpr double kReferenceNs = 200'000.0;
+
+/// Wall time [ns] of a fixed, cache-resident double-precision kernel owned
+/// by the benchmark: complex rotations plus a sine per lane, the kind of
+/// arithmetic the library's response and sweep code does. The shared host's
+/// speed drifts by up to 40% over minutes, on all vCPUs together; over 24
+/// runs the library's offline ops spread 0.36-0.44 (IQR over median) while
+/// their ratios to each other spread 0.01-0.06. Over ten runs the offline
+/// ops and set-up spread 0.12-0.15 as measured and 0.04-0.06 divided by
+/// this kernel's time. The serving metrics did not move with it and are
+/// not scaled.
+double reference_ns() {
+  constexpr int kLanes = 256;
+  constexpr int kSteps = 64;
+  std::complex<double> lanes[kLanes];
+  for (int i = 0; i < kLanes; ++i) lanes[i] = {1.0 + 1e-3 * i, 0.5};
+  const std::complex<double> turn = std::polar(1.0, 1e-3);
+  const std::uint64_t t0 = now_ns();
+  for (int step = 0; step < kSteps; ++step)
+    for (std::complex<double>& z : lanes)
+      z = z * turn + std::complex<double>(1e-3 * std::sin(z.real()), 0.0);
+  const std::uint64_t t1 = now_ns();
+  volatile double sink = lanes[kLanes - 1].real();
+  (void)sink;
+  return static_cast<double>(t1 - t0);
+}
 
 struct Args {
   std::string workload;
@@ -141,7 +179,7 @@ struct Args {
 [[noreturn]] void usage(const char* why) {
   std::fprintf(stderr,
                "perfbench: %s\nusage: perfbench --workload "
-               "<serve_retune|offline_round|fault_track> --seed <n> "
+               "<serve_retune|offline_round> --seed <n> "
                "--seconds <s> --trace <0|1> [--trace-out <file>]\n",
                why);
   std::exit(2);
@@ -177,8 +215,7 @@ Args parse(int argc, char** argv) {
       usage(("unknown flag " + flag).c_str());
     }
   }
-  if (args.workload != "serve_retune" && args.workload != "offline_round" &&
-      args.workload != "fault_track")
+  if (args.workload != "serve_retune" && args.workload != "offline_round")
     usage("unknown or missing --workload");
   if (!have_seed || !have_seconds) usage("--seed and --seconds are required");
   return args;
@@ -223,7 +260,7 @@ int run(const Args& args) {
     Sections fresh;
     fresh.emplace_back("serve_retune", make_serve_section());
     fresh.emplace_back("offline_round", make_offline_section());
-    fresh.emplace_back("fault_track", make_fault_section());
+    fresh.emplace_back(kFaultSection, make_fault_section());
     const std::uint64_t t0 = now_ns();
     for (auto& [name, section] : fresh) section->setup(args.seed);
     setup_s.push_back(static_cast<double>(now_ns() - t0) / 1e9);
@@ -256,8 +293,7 @@ int run(const Args& args) {
            false, off);
   }
   begin_all();
-  const double secondary_share =
-      (1.0 - kPrimaryShare) / static_cast<double>(sections.size() - 1);
+  std::vector<double> reference;
   const double round_s = std::min(kRoundS, args.seconds);
   const std::uint64_t end =
       now_ns() + static_cast<std::uint64_t>(args.seconds * 1e9);
@@ -267,14 +303,16 @@ int run(const Args& args) {
     // spread over the run see the same host as the other metrics, where
     // back-to-back ones would see one moment of it.
     (void)set_up();
+    // The traced run alternates traced and untraced rounds: their ratio
+    // is the tracing overhead.
+    const bool traced = args.trace && round % 2 == 1;
     for (auto& [name, section] : sections) {
-      const bool primary = name == args.workload;
-      // The traced run alternates traced and untraced rounds of the
-      // primary section: their ratio is the tracing overhead.
-      const bool traced = args.trace && (!primary || round % 2 == 1);
-      step(name, *section,
-           round_s * (primary ? kPrimaryShare : secondary_share), traced,
-           tracer);
+      const double share = name == args.workload   ? kOwnShare
+                           : name == kFaultSection ? kFaultShare
+                                                   : kOtherShare;
+      for (int rep = 0; rep < kReferenceReps; ++rep)
+        reference.push_back(reference_ns());
+      step(name, *section, round_s * share, traced, tracer);
     }
     ++round;
   } while (round < 2 || now_ns() < end);
@@ -292,10 +330,13 @@ int run(const Args& args) {
   for (const std::string& failure : tally.failures)
     std::fprintf(stderr, "perfbench: FAILED %s\n", failure.c_str());
 
+  // Converts a time measured in this run to the reference host speed.
+  const double speed_scale = kReferenceNs / median(reference);
   Metrics metrics;
   if (args.trace) {
+    metrics.add("host.reference_us", median(reference) / 1e3, "us");
     for (auto& [name, section] : sections)
-      section->report(true, tracer, metrics);
+      section->report(true, tracer, speed_scale, metrics);
     for (auto& [name, section] : sections)
       if (name == args.workload)
         metrics.add("trace.overhead_frac", section->trace_overhead(),
@@ -304,10 +345,10 @@ int run(const Args& args) {
       std::fprintf(stderr, "perfbench: cannot write %s\n",
                    args.trace_out.c_str());
   } else {
-    metrics.add("setup_s", median(setup_s), "s");
+    metrics.add("setup_s", median(setup_s) * speed_scale, "s");
     metrics.add("peak_rss_mb", rss_mb, "MB");
     for (auto& [name, section] : sections)
-      section->report(false, tracer, metrics);
+      section->report(false, tracer, speed_scale, metrics);
   }
   print_result(tally, metrics);
   return tally.failed == 0 ? 0 : 1;

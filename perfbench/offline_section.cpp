@@ -14,7 +14,11 @@
 //    time is a per-layer metric of the traced run only, because it spread
 //    too widely across runs to bound end to end.
 //
-// Every parallel section runs with exactly kWorkers workers.
+// The timed ops run on one worker: when the shared host stalled vCPUs, the
+// 2-worker round and compile slowed by up to 85% where the serial N=6 round
+// slowed by at most 16%. The traced run times the 2-worker ops as well, for the
+// parallel efficiencies, and the checks compare 1- and 2-worker outputs.
+// End-to-end times are scaled to the reference host speed (see main.cpp).
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -38,7 +42,11 @@ namespace {
 
 using namespace llama;
 
-constexpr int kWorkers = 2;
+/// Workers of the timed ops.
+constexpr int kWorkers = 1;
+/// Workers of the parallel runs the timed ops are checked and compared
+/// against.
+constexpr int kParallelWorkers = 2;
 constexpr double kCityCutoffDb = -58.0;
 /// Repetitions of each per-layer probe in the traced run.
 constexpr int kProbeReps = 15;
@@ -120,29 +128,31 @@ class OfflineSection final : public Section {
 
   void check(Tally& tally) override {
     deploy::DeploymentConfig cfg48 = n48_.config;
-    cfg48.threads = 1;
+    cfg48.threads = kParallelWorkers;
     deploy::DeploymentEngine engine48{cfg48};
     tally.check(same_bytes(round_powers(engine48.run(n48_.devices)),
                            n48_powers_),
                 "N=48 round powers identical at 1 and 2 workers");
     deploy::DeploymentConfig cfg6 = n6_.config;
-    cfg6.threads = 1;
+    cfg6.threads = kParallelWorkers;
     deploy::DeploymentEngine engine6{cfg6};
     tally.check(same_bytes(round_powers(engine6.run(n6_.devices)),
                            n6_powers_),
                 "N=6 round powers identical at 1 and 2 workers");
-    codebook::CompilerOptions one = compile_options_;
-    one.threads = 1;
-    tally.check(compiler_->compile(one).serialize() == book_bytes_,
+    codebook::CompilerOptions parallel = compile_options_;
+    parallel.threads = kParallelWorkers;
+    tally.check(compiler_->compile(parallel).serialize() == book_bytes_,
                 "codebook bytes identical at 1 and 2 workers");
-    tally.check(
-        same_bytes(city_engine_->evaluate(city_.biases, 1).power, city_power_),
-        "city powers identical at 1 and 2 workers");
+    tally.check(same_bytes(city_engine_->evaluate(city_.biases,
+                                                  kParallelWorkers)
+                               .power,
+                           city_power_),
+                "city powers identical at 1 and 2 workers");
 
     // Pruned against dense: measured |dP| within the analytic bound.
     core::CityScaleScenario dense = core::city_scale_scenario(
         256, 4096, -std::numeric_limits<double>::infinity());
-    dense.config.threads = kWorkers;
+    dense.config.threads = kParallelWorkers;
     deploy::CityFleetEngine dense_engine{dense.config};
     dense_engine.assign(dense.devices);
     const deploy::CityEvalReport dense_report =
@@ -156,12 +166,15 @@ class OfflineSection final : public Section {
                 "city pruned-vs-dense |dP| within max_error_bound_db");
   }
 
-  void report(bool trace, const Tracer& tracer,
+  void report(bool trace, const Tracer& tracer, double speed_scale,
               Metrics& metrics) const override {
     if (!trace) {
-      metrics.add("round_n48_ms", median(untraced_[kRoundN48]), "ms");
-      metrics.add("round_n6_ms", median(untraced_[kRoundN6]), "ms");
-      metrics.add("compile_ms", median(untraced_[kCompile]), "ms");
+      metrics.add("round_n48_ms", median(untraced_[kRoundN48]) * speed_scale,
+                  "ms");
+      metrics.add("round_n6_ms", median(untraced_[kRoundN6]) * speed_scale,
+                  "ms");
+      metrics.add("compile_ms", median(untraced_[kCompile]) * speed_scale,
+                  "ms");
       metrics.add("gain_db", gain_db_, "dB");
       return;
     }
@@ -188,15 +201,17 @@ class OfflineSection final : public Section {
                 static_cast<double>(n48_cache_.misses), "count");
     metrics.add("deploy.lock_contention",
                 static_cast<double>(n48_cache_.lock_contention), "count");
-    const double round_t1 = med("deploy.round_n48_t1") / 1e6;
-    metrics.add("deploy.round_t1_ms", round_t1, "ms");
+    const double round_t2 = med("deploy.round_n48_t2") / 1e6;
+    metrics.add("deploy.round_t2_ms", round_t2, "ms");
     metrics.add("deploy.round_efficiency",
-                round_t1 / (kWorkers * median(traced_[kRoundN48])), "ratio");
-    metrics.add("deploy.city_eval_ms", median(traced_[kCityEval]), "ms");
-    const double city_t1 = med("deploy.city_eval_t1") / 1e6;
-    metrics.add("deploy.city_eval_t1_ms", city_t1, "ms");
+                median(traced_[kRoundN48]) / (kParallelWorkers * round_t2),
+                "ratio");
+    const double city_t1 = median(traced_[kCityEval]);
+    metrics.add("deploy.city_eval_ms", city_t1, "ms");
+    const double city_t2 = med("deploy.city_eval_t2") / 1e6;
+    metrics.add("deploy.city_eval_t2_ms", city_t2, "ms");
     metrics.add("deploy.city_efficiency",
-                city_t1 / (kWorkers * median(traced_[kCityEval])), "ratio");
+                city_t1 / (kParallelWorkers * city_t2), "ratio");
     metrics.add("control.probes_per_device", probes_per_device_, "count");
     metrics.add("channel.kept_paths", kept_paths_, "count");
     metrics.add("channel.pruned_paths", pruned_paths_, "count");
@@ -271,18 +286,20 @@ class OfflineSection final : public Section {
                           .real();
       }
     }
-    // Single-worker references for the parallel efficiencies.
-    deploy::DeploymentConfig cfg1 = n48_.config;
-    cfg1.threads = 1;
+    // 2-worker runs for the parallel efficiencies.
+    deploy::DeploymentConfig cfg2 = n48_.config;
+    cfg2.threads = kParallelWorkers;
     for (int rep = 0; rep < 5; ++rep) {
       const auto id = static_cast<std::uint64_t>(rep);
       {
-        deploy::DeploymentEngine engine{cfg1};
-        const ScopedSpan s(tracer, "deploy.round_n48_t1", id);
+        deploy::DeploymentEngine engine{cfg2};
+        const ScopedSpan s(tracer, "deploy.round_n48_t2", id);
         sink = sink + engine.run(n48_.devices).sum_capacity_bits_per_hz;
       }
-      const ScopedSpan s(tracer, "deploy.city_eval_t1", id);
-      sink = sink + city_engine_->evaluate(city_.biases, 1).power[0].value();
+      const ScopedSpan s(tracer, "deploy.city_eval_t2", id);
+      sink = sink + city_engine_->evaluate(city_.biases, kParallelWorkers)
+                        .power[0]
+                        .value();
     }
   }
 

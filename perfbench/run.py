@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Builds the benchmark from source and runs one workload.
 
-    python3 perfbench/run.py --workload <serve_retune|offline_round|fault_track>
+    python3 perfbench/run.py --workload <serve_retune|offline_round>
                              --seed <n> --seconds <s> --trace <0|1>
 
 Run from the repository root. The build lives in $CARGO_TARGET_DIR (default
@@ -19,7 +19,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("serve_retune", "offline_round", "fault_track")
+WORKLOADS = ("serve_retune", "offline_round")
 
 
 def fail(message):
