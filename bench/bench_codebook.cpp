@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   core::LlamaSystem book_sys{cfg};
   // Both paths pair with the response cache (the repo's standard setup for
   // sequential point probes): the codebook round's two expected-power
-  // measurements become memo hits instead of full direct cascades, and the
+  // measurements become memo hits instead of planned cascades, and the
   // sweep system's baseline probe benefits identically.
   sweep_sys.enable_fast_probes();
   book_sys.enable_fast_probes();

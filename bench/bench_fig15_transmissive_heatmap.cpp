@@ -29,8 +29,9 @@ int run_speedup_comparison() {
   control::FullGridSweep sweep{supply, {}};
 
   // Same measurement model as the batched engine (expected power, no IQ
-  // synthesis) but pointwise direct cascades — isolates how much of the
-  // speedup comes from the plan/batching versus the analytic measurement.
+  // synthesis) but one pointwise planned cascade per probe — isolates how
+  // much of the speedup comes from the SoA batching versus the analytic
+  // measurement.
   const control::PowerProbe analytic_probe = [&sys](common::Voltage vx,
                                                     common::Voltage vy) {
     sys.surface().set_bias(vx, vy);

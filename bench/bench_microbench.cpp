@@ -1,7 +1,6 @@
-// Microbenchmarks of the simulation hot paths, before and after the batched
-// response engine: the direct per-probe cascade, the planned (per-frequency
-// precomputed) path, the memoized response cache, and the batched grid
-// evaluators. Run with --json for machine-readable output (see
+// Microbenchmarks of the simulation hot paths: the planned (per-frequency
+// precomputed) scalar cascade, the memoized response cache, and the batched
+// grid evaluators. Run with --json for machine-readable output (see
 // bench_harness.h); CI tracks these lines as the perf trajectory.
 #include <cstdio>
 #include <vector>
@@ -51,28 +50,12 @@ int main(int argc, char** argv) {
 
   const metasurface::RotatorStack stack = metasurface::optimized_fr4_design();
   {
-    double v = 0.0;
-    bench::print_result(bench::run_bench("stack_transmission_direct", [&] {
-      v += 0.1;
-      if (v > 30.0) v = 0.0;
-      consume(stack.transmission(f0, common::Voltage{v}, common::Voltage{v}));
-    }), json);
-  }
-  {
     const auto plan = stack.plan_transmission(f0);
     double v = 0.0;
     bench::print_result(bench::run_bench("stack_transmission_planned", [&] {
       v += 0.1;
       if (v > 30.0) v = 0.0;
       consume(stack.transmission(plan, common::Voltage{v}, common::Voltage{v}));
-    }), json);
-  }
-  {
-    double v = 0.0;
-    bench::print_result(bench::run_bench("stack_reflection_direct", [&] {
-      v += 0.1;
-      if (v > 30.0) v = 0.0;
-      consume(stack.reflection(f0, common::Voltage{v}, common::Voltage{v}));
     }), json);
   }
   {

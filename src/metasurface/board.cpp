@@ -65,16 +65,7 @@ Board::Board(std::string name, microwave::Substrate substrate,
 microwave::SParams Board::axis_sparams(common::Frequency f,
                                        common::Voltage bias,
                                        bool y_axis) const {
-  const AxisPatterns& ax = y_axis ? y_ : x_;
-  const double tan_d = substrate_.loss_tangent();
-  Abcd chain = Abcd::identity();
-  if (!ax.front.empty())
-    chain = chain * Abcd::shunt(ax.front.admittance(f, bias, varactor_, tan_d));
-  chain =
-      chain * microwave::DielectricSlab{substrate_, thickness_m_}.abcd(f);
-  if (!ax.back.empty())
-    chain = chain * Abcd::shunt(ax.back.admittance(f, bias, varactor_, tan_d));
-  return chain.to_sparams();
+  return axis_sparams(make_frequency_plan(f), bias, y_axis);
 }
 
 Complex Board::axis_transmission(common::Frequency f, common::Voltage bias,
@@ -90,18 +81,15 @@ Complex Board::axis_reflection(common::Frequency f, common::Voltage bias,
 em::JonesMatrix Board::jones_transmission(common::Frequency f,
                                           common::Voltage vx,
                                           common::Voltage vy) const {
-  const Complex tx = axis_transmission(f, vx, /*y_axis=*/false);
-  const Complex ty = axis_transmission(f, vy, /*y_axis=*/true);
-  return em::JonesMatrix{tx, Complex{0.0, 0.0}, Complex{0.0, 0.0}, ty};
+  return jones_transmission(make_frequency_plan(f), vx, vy);
 }
 
 namespace {
 
 /// Builds the per-frequency plan of one face. Static faces get their full
-/// admittance baked in (same code path as the unplanned solver, so the
-/// numbers agree exactly); dynamic faces keep only the inductive branch and
-/// the fixed gap-C impedance, mirroring the term grouping of
-/// FacePattern::admittance.
+/// admittance baked in via FacePattern::admittance; dynamic faces keep only
+/// the inductive branch and the fixed gap-C impedance, mirroring the term
+/// grouping of FacePattern::admittance so both agree bit for bit.
 FacePlan plan_face(const FacePattern& face, common::Frequency f,
                    const microwave::Varactor& varactor, double tan_d) {
   FacePlan plan;
@@ -146,9 +134,8 @@ BoardFrequencyPlan Board::make_frequency_plan(common::Frequency f) const {
 microwave::SParams Board::axis_sparams(const BoardFrequencyPlan& plan,
                                        common::Voltage bias,
                                        bool y_axis) const {
-  // Mirrors axis_sparams(f, bias, y_axis) operation-for-operation so the
-  // planned path is bit-identical; the slab ABCD and static admittances come
-  // from the plan instead of being re-derived.
+  // ABCD cascade front face | slab | back face; the slab ABCD and static
+  // admittances come from the plan instead of being re-derived.
   const BoardAxisPlan& ax = y_axis ? plan.y : plan.x;
   Abcd chain = Abcd::identity();
   if (ax.front.present)

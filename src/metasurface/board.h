@@ -83,8 +83,8 @@ struct FacePlan {
 };
 
 /// Per-axis precomputation: both face plans plus the slab's ABCD matrix
-/// (the dominant per-probe cost in the unplanned path — complex exp/trig —
-/// and entirely bias-independent).
+/// (complex exp/trig, the dominant cost of building a plan, and entirely
+/// bias-independent).
 struct BoardAxisPlan {
   FacePlan front;
   FacePlan back;
@@ -119,7 +119,9 @@ class Board {
   }
 
   /// Full two-port of one axis at frequency f and axis bias voltage
-  /// (ignored by fixed patterns): front face | slab | back face.
+  /// (ignored by fixed patterns): front face | slab | back face. One-shot
+  /// convenience: builds a frequency plan and evaluates it, so repeated
+  /// queries at one frequency should hold the plan themselves.
   [[nodiscard]] microwave::SParams axis_sparams(common::Frequency f,
                                                 common::Voltage bias,
                                                 bool y_axis) const;
@@ -135,23 +137,24 @@ class Board {
                                                    bool y_axis) const;
 
   /// Jones transmission matrix in the board's own eigenbasis: diag(tx, ty).
+  /// One-shot convenience over make_frequency_plan, like axis_sparams.
   [[nodiscard]] em::JonesMatrix jones_transmission(common::Frequency f,
                                                    common::Voltage vx,
                                                    common::Voltage vy) const;
 
   /// Precomputes the bias-independent state for frequency f. The plan is a
   /// value type tied to this board; evaluating it through the overloads
-  /// below reproduces the unplanned results bit-for-bit while skipping the
+  /// below re-solves only the varactor-loaded faces per bias, skipping the
   /// slab ABCD (complex exponentials) and all fixed-pattern admittances.
   [[nodiscard]] BoardFrequencyPlan make_frequency_plan(
       common::Frequency f) const;
 
-  /// Planned counterpart of axis_sparams(f, bias, y_axis).
+  /// axis_sparams(f, bias, y_axis) against a plan from make_frequency_plan.
   [[nodiscard]] microwave::SParams axis_sparams(const BoardFrequencyPlan& plan,
                                                 common::Voltage bias,
                                                 bool y_axis) const;
 
-  /// Planned counterpart of jones_transmission(f, vx, vy).
+  /// jones_transmission(f, vx, vy) against a plan from make_frequency_plan.
   [[nodiscard]] em::JonesMatrix jones_transmission(
       const BoardFrequencyPlan& plan, common::Voltage vx,
       common::Voltage vy) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "src/common/contracts.h"
 #include "src/common/math_utils.h"
@@ -43,9 +44,33 @@ Metasurface Metasurface::llama_prototype() {
   return Metasurface{prototype_fr4_design()};
 }
 
+namespace {
+
+/// Clamps one bias voltage to the supply range [0, 30] V. A non-finite
+/// voltage is rejected: std::clamp would pass NaN straight through.
+double checked_bias(double v, const char* what) {
+  if (!std::isfinite(v))
+    throw std::invalid_argument{std::string{"Metasurface: "} + what +
+                                " must be finite"};
+  return common::clamp(v, 0.0, 30.0);
+}
+
+/// Clamp a raw bias axis to the supply range, matching set_bias.
+std::vector<double> clamp_bias_lane(const std::vector<double>& values,
+                                    const char* what) {
+  std::vector<double> clamped(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i)
+    clamped[i] = checked_bias(values[i], what);
+  return clamped;
+}
+
+}  // namespace
+
 void Metasurface::set_bias(common::Voltage vx, common::Voltage vy) {
-  vx_ = common::Voltage{common::clamp(vx.value(), 0.0, 30.0)};
-  vy_ = common::Voltage{common::clamp(vy.value(), 0.0, 30.0)};
+  const double x = checked_bias(vx.value(), "set_bias vx");
+  const double y = checked_bias(vy.value(), "set_bias vy");
+  vx_ = common::Voltage{x};
+  vy_ = common::Voltage{y};
 }
 
 void Metasurface::set_stuck_cells(std::optional<StuckCellFault> fault) {
@@ -54,8 +79,8 @@ void Metasurface::set_stuck_cells(std::optional<StuckCellFault> fault) {
         fault->fraction > 1.0)
       throw std::invalid_argument{
           "Metasurface: stuck-cell fraction must lie in (0, 1]"};
-    fault->vx = common::Voltage{common::clamp(fault->vx.value(), 0.0, 30.0)};
-    fault->vy = common::Voltage{common::clamp(fault->vy.value(), 0.0, 30.0)};
+    fault->vx = common::Voltage{checked_bias(fault->vx.value(), "stuck vx")};
+    fault->vy = common::Voltage{checked_bias(fault->vy.value(), "stuck vy")};
   }
   stuck_ = fault;
 }
@@ -63,8 +88,6 @@ void Metasurface::set_stuck_cells(std::optional<StuckCellFault> fault) {
 void Metasurface::enable_response_cache(ResponseCacheConfig config) {
   cache_ = std::make_unique<ResponseCache>(config);
 }
-
-void Metasurface::disable_response_cache() { cache_.reset(); }
 
 std::optional<ResponseCacheStats> Metasurface::response_cache_stats() const {
   if (!cache_) return std::nullopt;
@@ -123,24 +146,10 @@ em::JonesMatrix Metasurface::healthy_response(common::Frequency f,
     cache_->insert(key, j);
     return j;
   }
-  switch (mode) {
-    case SurfaceMode::kTransmissive:
-      return stack_.transmission(f, vx_, vy_);
-    case SurfaceMode::kReflective:
-      return stack_.reflection(f, vx_, vy_);
-  }
-  return em::JonesMatrix::identity();
+  return planned_response(f, mode, vx_, vy_);
 }
 
 namespace {
-
-/// Clamp a raw bias axis to the supply range, matching set_bias.
-std::vector<double> clamp_bias_lane(const std::vector<double>& values) {
-  std::vector<double> clamped(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i)
-    clamped[i] = common::clamp(values[i], 0.0, 30.0);
-  return clamped;
-}
 
 /// Fixed pair-chunk size for response_batch: the work decomposition is part
 /// of the byte-determinism contract (it must not depend on the worker
@@ -168,8 +177,10 @@ JonesGrid Metasurface::response_grid(common::Frequency f, SurfaceMode mode,
   JonesGrid grid(vy_values.size(),
                  std::vector<em::JonesMatrix>(vx_values.size()));
   if (vx_values.empty() || vy_values.empty()) return grid;
-  const std::vector<double> vxs = clamp_bias_lane(vx_values);
-  const std::vector<double> vys = clamp_bias_lane(vy_values);
+  const std::vector<double> vxs =
+      clamp_bias_lane(vx_values, "response_grid vx_values");
+  const std::vector<double> vys =
+      clamp_bias_lane(vy_values, "response_grid vy_values");
   // Evaluate the stuck response before handing out plan references: it may
   // (re)build the memoized plan slot for this (f, mode).
   std::optional<kernel::StuckBlend> blend;
@@ -213,8 +224,8 @@ std::vector<em::JonesMatrix> Metasurface::response_batch(
   std::vector<double> vxs(points.size());
   std::vector<double> vys(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    vxs[i] = common::clamp(points[i].first.value(), 0.0, 30.0);
-    vys[i] = common::clamp(points[i].second.value(), 0.0, 30.0);
+    vxs[i] = checked_bias(points[i].first.value(), "response_batch vx");
+    vys[i] = checked_bias(points[i].second.value(), "response_batch vy");
   }
   std::optional<kernel::StuckBlend> blend;
   if (stuck_)
@@ -250,12 +261,15 @@ std::vector<em::JonesMatrix> Metasurface::response_batch(
 }
 
 common::Angle Metasurface::rotation_angle(common::Frequency f) const {
-  return stack_.rotation_angle(f, vx_, vy_);
+  return em::rotation_angle_of(
+      planned_response(f, SurfaceMode::kTransmissive, vx_, vy_));
 }
 
 double Metasurface::transmission_efficiency_db(common::Frequency f,
                                                bool y_excitation) const {
-  return stack_.transmission_efficiency_db(f, vx_, vy_, y_excitation);
+  return metasurface::transmission_efficiency_db(
+      planned_response(f, SurfaceMode::kTransmissive, vx_, vy_),
+      y_excitation);
 }
 
 double Metasurface::dc_power_w() const {

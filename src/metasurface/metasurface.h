@@ -64,6 +64,13 @@ using BiasList = std::vector<std::pair<common::Voltage, common::Voltage>>;
 ///
 /// The two bias voltages (Vx, Vy) are the only control inputs — matching the
 /// paper's prototype, where all unit cells share the two DC bias rails.
+///
+/// Thread contract: the const queries (response, response_grid,
+/// response_batch, rotation_angle, transmission_efficiency_db) memoize the
+/// per-(frequency, mode) plan and, when enabled, the response cache, so they
+/// are not safe to call concurrently on one object. Use one Metasurface per
+/// thread (a copy starts with cold memos and answers identically);
+/// response_grid and response_batch parallelize internally.
 class Metasurface {
  public:
   explicit Metasurface(RotatorStack stack, LatticeSpec spec = {});
@@ -83,6 +90,8 @@ class Metasurface {
   [[nodiscard]] const RotatorStack& stack() const { return stack_; }
 
   /// Sets the bias pair; values are clamped to the supply range [0, 30] V.
+  /// Throws std::invalid_argument naming the argument when either voltage
+  /// is non-finite (NaN would otherwise pass the clamp unchanged).
   void set_bias(common::Voltage vx, common::Voltage vy);
   [[nodiscard]] common::Voltage bias_x() const { return vx_; }
   [[nodiscard]] common::Voltage bias_y() const { return vy_; }
@@ -90,20 +99,16 @@ class Metasurface {
   /// Jones matrix applied to a wave traversing (or reflecting off) the
   /// surface at frequency f under the current bias.
   ///
+  /// Evaluated through the memoized per-frequency plan at the exact bias.
   /// With the response cache enabled (opt-in, see enable_response_cache) the
-  /// bias pair is quantized per the cache's contract, the memo is consulted,
-  /// and misses are computed through the per-frequency plans; without it the
-  /// original direct path runs, untouched. Not thread-safe while caching.
+  /// bias pair is first quantized per the cache's contract and the memo is
+  /// consulted; misses go through the same plan.
   [[nodiscard]] em::JonesMatrix response(common::Frequency f,
                                          SurfaceMode mode) const;
 
-  /// Opt-in memoization of response(). Existing call sites keep their exact
-  /// semantics when this is never called. Re-enabling replaces the cache.
+  /// Opt-in memoization of response() on quantized biases. Re-enabling
+  /// replaces the cache.
   void enable_response_cache(ResponseCacheConfig config = {});
-  void disable_response_cache();
-  [[nodiscard]] bool response_cache_enabled() const {
-    return cache_ != nullptr;
-  }
   /// Snapshot of the hit/miss/eviction counters; nullopt when the cache is
   /// disabled. A snapshot, not a reference: the live counters are atomics
   /// that keep counting after this returns.
@@ -115,7 +120,7 @@ class Metasurface {
   /// the cache keeps memoizing only the pure healthy responses, so enabling
   /// a fault never poisons it. Throws std::invalid_argument when the
   /// fraction is non-finite or outside (0, 1]; the stuck bias pair is
-  /// clamped to the supply range like set_bias.
+  /// checked and clamped to the supply range like set_bias.
   void set_stuck_cells(std::optional<StuckCellFault> fault);
   [[nodiscard]] const std::optional<StuckCellFault>& stuck_cells() const {
     return stuck_;
@@ -123,10 +128,10 @@ class Metasurface {
 
   /// Batched evaluation of a whole bias plane at one frequency: returns
   /// grid[iy][ix] = response at (vx_values[ix], vy_values[iy]). Biases are
-  /// clamped to the supply range like set_bias. Evaluation runs through the
-  /// SoA kernel layer (src/kernel): the per-(f, mode) plan is acquired once,
-  /// axis lanes are built once, and rows are distributed over `threads`
-  /// workers (<= 0 picks a default). Every cell is a pure function of
+  /// checked and clamped to the supply range like set_bias. Evaluation runs
+  /// through the SoA kernel layer (src/kernel): the per-(f, mode) plan is
+  /// acquired once, axis lanes are built once, and rows are distributed over
+  /// `threads` workers (<= 0 picks a default). Every cell is a pure function of
   /// (plan, axes, cell index), so the grid is byte-identical for any thread
   /// count (asserted by ResponseGrid.ThreadCountDoesNotChangeBytes); it
   /// agrees with pointwise response() calls to <= 1e-12 per component — the

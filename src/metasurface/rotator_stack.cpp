@@ -1,5 +1,6 @@
 #include "src/metasurface/rotator_stack.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -24,13 +25,10 @@ Complex gap_phase(common::Frequency f, double gap_m) {
   return std::exp(Complex{0.0, -k * gap_m});
 }
 
-JonesMatrix element_jones(const StackElement& e, common::Frequency f,
-                          common::Voltage vx, common::Voltage vy) {
-  const common::Voltage bias_x = e.tunable ? vx : common::Voltage{0.0};
-  const common::Voltage bias_y = e.tunable ? vy : common::Voltage{0.0};
-  const JonesMatrix in_eigenbasis =
-      e.board.jones_transmission(f, bias_x, bias_y);
-  return in_eigenbasis.rotated(e.rotation);
+/// Rotated Jones matrix of a static (unbiased) element.
+JonesMatrix fixed_jones(const StackElement& e, common::Frequency f) {
+  const common::Voltage v0{0.0};
+  return e.board.jones_transmission(f, v0, v0).rotated(e.rotation);
 }
 
 }  // namespace
@@ -45,70 +43,12 @@ JonesMatrix front_gamma(Complex r0x, Complex r0y, common::Angle rotation) {
 
 JonesMatrix RotatorStack::transmission(common::Frequency f, common::Voltage vx,
                                        common::Voltage vy) const {
-  // Paper Eq. 2: J_out = M_N ... M_2 M_1 J_in — the first element hit by the
-  // wave multiplies from the right.
-  JonesMatrix total = JonesMatrix::identity();
-  for (const StackElement& e : elements_) {
-    total = element_jones(e, f, vx, vy) * total;
-    if (e.gap_after_m > 0.0) total = gap_phase(f, e.gap_after_m) * total;
-  }
-  return total;
+  return transmission(plan_transmission(f), vx, vy);
 }
 
 JonesMatrix RotatorStack::reflection(common::Frequency f, common::Voltage vx,
                                      common::Voltage vy) const {
-  // Dominant single-bounce model: propagate through the leading fixed
-  // boards, reflect off the tunable section (per-axis S11 in its eigenbasis),
-  // and traverse the leading boards backwards. For a reciprocal layer the
-  // backward Jones matrix is the transpose of the forward one.
-  JonesMatrix forward = JonesMatrix::identity();
-  const StackElement* tunable = nullptr;
-  for (const StackElement& e : elements_) {
-    if (e.tunable) {
-      tunable = &e;
-      break;
-    }
-    forward = element_jones(e, f, vx, vy) * forward;
-    if (e.gap_after_m > 0.0) forward = gap_phase(f, e.gap_after_m) * forward;
-  }
-  if (tunable == nullptr) {
-    // No tunable section: reflect off the last board instead.
-    tunable = &elements_.back();
-    forward = JonesMatrix::identity();
-    for (std::size_t i = 0; i + 1 < elements_.size(); ++i) {
-      forward = element_jones(elements_[i], f, vx, vy) * forward;
-      if (elements_[i].gap_after_m > 0.0)
-        forward = gap_phase(f, elements_[i].gap_after_m) * forward;
-    }
-  }
-  const common::Voltage bx = tunable->tunable ? vx : common::Voltage{0.0};
-  const common::Voltage by = tunable->tunable ? vy : common::Voltage{0.0};
-  const Complex rx = tunable->board.axis_reflection(f, bx, /*y_axis=*/false);
-  const Complex ry = tunable->board.axis_reflection(f, by, /*y_axis=*/true);
-  const JonesMatrix gamma_deep =
-      JonesMatrix{rx, Complex{0, 0}, Complex{0, 0}, ry}.rotated(
-          tunable->rotation);
-  // Bias-independent specular reflection off the very first patterned face
-  // (the dominant return): its birefringence (rx != ry in its own frame)
-  // converts a small amount of cross- to co-polarization, while the wave
-  // that penetrates to the tunable section adds the bias-DEPENDENT part.
-  // This split is why reflective heatmaps show much weaker voltage contrast
-  // than transmissive ones (paper Section 5.2.1).
-  const StackElement& first = elements_.front();
-  const common::Voltage fx = first.tunable ? vx : common::Voltage{0.0};
-  const common::Voltage fy = first.tunable ? vy : common::Voltage{0.0};
-  const Complex r0x = first.board.axis_reflection(f, fx, /*y_axis=*/false);
-  const Complex r0y = first.board.axis_reflection(f, fy, /*y_axis=*/true);
-  // The specular zeroth-order return off sub-wavelength patterns largely
-  // preserves polarization; only a fraction of the face's birefringence
-  // couples into the reflected wave.
-  const JonesMatrix gamma_front = front_gamma(r0x, r0y, first.rotation);
-  // Round trip of the deep component: forward in, reflect, transpose out.
-  // It is attenuated by re-traversal spillover off the finite aperture (the
-  // 0.48 m panel does not recapture the full divergent wavefront on the
-  // second pass).
-  const JonesMatrix deep = forward.transpose() * gamma_deep * forward;
-  return gamma_front + kDeepPathWeight * deep;
+  return reflection(plan_reflection(f), vx, vy);
 }
 
 RotatorStack::TransmissionPlan RotatorStack::plan_transmission(
@@ -125,8 +65,7 @@ RotatorStack::TransmissionPlan RotatorStack::plan_transmission(
       step.board_plan = e.board.make_frequency_plan(f);
       step.rotation = e.rotation;
     } else {
-      step.fixed_jones =
-          element_jones(e, f, common::Voltage{0.0}, common::Voltage{0.0});
+      step.fixed_jones = fixed_jones(e, f);
     }
     if (e.gap_after_m > 0.0) {
       step.has_gap = true;
@@ -140,9 +79,9 @@ RotatorStack::TransmissionPlan RotatorStack::plan_transmission(
 JonesMatrix RotatorStack::transmission(const TransmissionPlan& plan,
                                        common::Voltage vx,
                                        common::Voltage vy) const {
-  // Same multiplication order as the unplanned loop, so results match
-  // bit-for-bit; only the per-element Jones matrices come precomputed
-  // (static boards) or from the cheap planned solver (tunable boards).
+  // Paper Eq. 2: J_out = M_N ... M_2 M_1 J_in — the first element hit by the
+  // wave multiplies from the right. Air gaps add a common propagation phase.
+  // Static elements come precomputed; tunable boards are re-solved per bias.
   JonesMatrix total = JonesMatrix::identity();
   for (const TransmissionStep& step : plan.steps) {
     if (step.tunable) {
@@ -162,12 +101,13 @@ RotatorStack::ReflectionPlan RotatorStack::plan_reflection(
     common::Frequency f) const {
   ReflectionPlan plan;
   plan.frequency = f;
-  // Locate the reflection target exactly as reflection() does: the first
+  // Dominant single-bounce model: propagate through the leading fixed
+  // boards, reflect off the tunable section (per-axis S11 in its eigenbasis),
+  // and traverse the leading boards backwards. The target is the first
   // tunable element, else the last element with the prefix rebuilt over all
   // but the last. Elements ahead of the first tunable one are by definition
   // bias-independent, so the forward cascade is always precomputable.
   JonesMatrix forward = JonesMatrix::identity();
-  const common::Voltage v0{0.0};
   std::size_t target = elements_.size();
   for (std::size_t i = 0; i < elements_.size(); ++i) {
     const StackElement& e = elements_[i];
@@ -175,14 +115,14 @@ RotatorStack::ReflectionPlan RotatorStack::plan_reflection(
       target = i;
       break;
     }
-    forward = element_jones(e, f, v0, v0) * forward;
+    forward = fixed_jones(e, f) * forward;
     if (e.gap_after_m > 0.0) forward = gap_phase(f, e.gap_after_m) * forward;
   }
   if (target == elements_.size()) {
     target = elements_.size() - 1;
     forward = JonesMatrix::identity();
     for (std::size_t i = 0; i + 1 < elements_.size(); ++i) {
-      forward = element_jones(elements_[i], f, v0, v0) * forward;
+      forward = fixed_jones(elements_[i], f) * forward;
       if (elements_[i].gap_after_m > 0.0)
         forward = gap_phase(f, elements_[i].gap_after_m) * forward;
     }
@@ -194,11 +134,13 @@ RotatorStack::ReflectionPlan RotatorStack::plan_reflection(
 
   const StackElement& first = elements_.front();
   plan.front_uses_bias = first.tunable;
-  if (first.tunable) {
-    plan.front_plan = first.board.make_frequency_plan(f);
-  } else {
-    const Complex r0x = first.board.axis_reflection(f, v0, /*y_axis=*/false);
-    const Complex r0y = first.board.axis_reflection(f, v0, /*y_axis=*/true);
+  plan.front_plan = first.board.make_frequency_plan(f);
+  if (!first.tunable) {
+    const common::Voltage v0{0.0};
+    const Complex r0x =
+        first.board.axis_sparams(plan.front_plan, v0, /*y_axis=*/false).s11;
+    const Complex r0y =
+        first.board.axis_sparams(plan.front_plan, v0, /*y_axis=*/true).s11;
     plan.gamma_front = front_gamma(r0x, r0y, first.rotation);
   }
   return plan;
@@ -217,6 +159,12 @@ JonesMatrix RotatorStack::reflection(const ReflectionPlan& plan,
   const JonesMatrix gamma_deep =
       JonesMatrix{rx, Complex{0, 0}, Complex{0, 0}, ry}.rotated(
           target.rotation);
+  // Specular reflection off the very first patterned face (the dominant
+  // return): its birefringence (rx != ry in its own frame) converts a small
+  // amount of cross- to co-polarization, while the wave that penetrates to
+  // the tunable section adds the bias-DEPENDENT part. This split is why
+  // reflective heatmaps show much weaker voltage contrast than transmissive
+  // ones (paper Section 5.2.1).
   JonesMatrix gamma_front = plan.gamma_front;
   if (plan.front_uses_bias) {
     const StackElement& first = elements_.front();
@@ -226,21 +174,29 @@ JonesMatrix RotatorStack::reflection(const ReflectionPlan& plan,
         first.board.axis_sparams(plan.front_plan, vy, /*y_axis=*/true).s11;
     gamma_front = front_gamma(r0x, r0y, first.rotation);
   }
+  // Round trip of the deep component: forward in, reflect, transpose out
+  // (for a reciprocal layer the backward Jones matrix is the transpose of
+  // the forward one). It is attenuated by re-traversal spillover off the
+  // finite aperture: the 0.48 m panel does not recapture the full divergent
+  // wavefront on the second pass.
   const JonesMatrix deep = plan.forward.transpose() * gamma_deep * plan.forward;
   return gamma_front + kDeepPathWeight * deep;
+}
+
+double transmission_efficiency_db(const JonesMatrix& t, bool y_excitation) {
+  // Paper Eq. 11: eff = |S_xx21|^2 + |S_yx21|^2 for an x-polarized wave
+  // (column of the Jones matrix corresponding to the excitation).
+  const int col = y_excitation ? 1 : 0;
+  const double p = std::norm(t.at(0, col)) + std::norm(t.at(1, col));
+  return 10.0 * std::log10(std::max(p, 1e-30));
 }
 
 double RotatorStack::transmission_efficiency_db(common::Frequency f,
                                                 common::Voltage vx,
                                                 common::Voltage vy,
                                                 bool y_excitation) const {
-  const JonesMatrix t = transmission(f, vx, vy);
-  // Paper Eq. 11: eff = |S_xx21|^2 + |S_yx21|^2 for an x-polarized wave
-  // (column of the Jones matrix corresponding to the excitation).
-  const int col = y_excitation ? 1 : 0;
-  const double p =
-      std::norm(t.at(0, col)) + std::norm(t.at(1, col));
-  return 10.0 * std::log10(std::max(p, 1e-30));
+  return metasurface::transmission_efficiency_db(transmission(f, vx, vy),
+                                                 y_excitation);
 }
 
 common::Angle RotatorStack::rotation_angle(common::Frequency f,

@@ -19,11 +19,16 @@ inline constexpr microwave::Complex kFrontBirefringence{0.3, 0.0};
 inline constexpr microwave::Complex kDeepPathWeight{0.15, 0.0};
 
 /// Bias-independent part of the front-face specular reflection built from
-/// the per-axis reflection coefficients (shared by the direct, planned and
-/// SoA-kernel reflection paths so all three stay in exact agreement).
+/// the per-axis reflection coefficients (shared by the scalar planned and
+/// SoA-kernel reflection paths so the two stay in agreement).
 [[nodiscard]] em::JonesMatrix front_gamma(microwave::Complex r0x,
                                           microwave::Complex r0y,
                                           common::Angle rotation);
+
+/// Transmission efficiency of paper Eq. 11 read off a transmission Jones
+/// matrix: |S_co|^2 + |S_cross|^2 of the excited column, in dB.
+[[nodiscard]] double transmission_efficiency_db(const em::JonesMatrix& t,
+                                                bool y_excitation);
 
 /// One element of the stack: a board physically rotated in the surface
 /// plane, followed by an air gap to the next board.
@@ -41,7 +46,8 @@ struct StackElement {
 /// precompute every bias-independent piece — static boards' Jones matrices,
 /// air-gap phases, slab ABCD matrices and fixed-pattern admittances — so the
 /// per-probe work collapses to the tunable boards' varactor-loaded
-/// two-ports. Planned and unplanned paths produce identical results.
+/// two-ports. The planned overloads are the one scalar cascade; the
+/// (f, vx, vy) overloads build a plan and evaluate it once.
 class RotatorStack {
  public:
   /// One step of a per-frequency transmission plan: either a fully
@@ -73,7 +79,7 @@ class RotatorStack {
     bool target_uses_bias = false;
     BoardFrequencyPlan target_plan;
     bool front_uses_bias = false;
-    BoardFrequencyPlan front_plan;    ///< only when the first board is tunable
+    BoardFrequencyPlan front_plan;    ///< read per bias only when tunable
     em::JonesMatrix gamma_front;      ///< precomputed when bias-independent
   };
 
@@ -85,7 +91,9 @@ class RotatorStack {
 
   /// Transmission Jones matrix of the entire stack at frequency f under
   /// bias (vx, vy). Boards are composed per paper Eq. 2; air gaps add a
-  /// common propagation phase (they are isotropic).
+  /// common propagation phase (they are isotropic). One-shot convenience:
+  /// plans f and evaluates the plan, so loops over biases at one frequency
+  /// should hold the plan themselves.
   [[nodiscard]] em::JonesMatrix transmission(common::Frequency f,
                                              common::Voltage vx,
                                              common::Voltage vy) const;
@@ -95,7 +103,8 @@ class RotatorStack {
   /// strongly mismatched interface of the tunable section, and returns; on
   /// the return pass the geometric rotation is traversed in the opposite
   /// sense, which is why rotation largely cancels in reflective operation
-  /// (the paper's Section 5.2.1 observation).
+  /// (the paper's Section 5.2.1 observation). One-shot convenience like
+  /// transmission(f, vx, vy).
   [[nodiscard]] em::JonesMatrix reflection(common::Frequency f,
                                            common::Voltage vx,
                                            common::Voltage vy) const;
@@ -106,14 +115,14 @@ class RotatorStack {
   /// Precomputes the bias-independent reflection cascade at frequency f.
   [[nodiscard]] ReflectionPlan plan_reflection(common::Frequency f) const;
 
-  /// Planned counterpart of transmission(f, vx, vy); bit-identical to the
-  /// unplanned path. The plan must have been created by this stack.
+  /// transmission(f, vx, vy) against a plan from plan_transmission. The
+  /// plan must have been created by this stack.
   [[nodiscard]] em::JonesMatrix transmission(const TransmissionPlan& plan,
                                              common::Voltage vx,
                                              common::Voltage vy) const;
 
-  /// Planned counterpart of reflection(f, vx, vy); bit-identical to the
-  /// unplanned path. The plan must have been created by this stack.
+  /// reflection(f, vx, vy) against a plan from plan_reflection. The plan
+  /// must have been created by this stack.
   [[nodiscard]] em::JonesMatrix reflection(const ReflectionPlan& plan,
                                            common::Voltage vx,
                                            common::Voltage vy) const;

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
 namespace llama::metasurface {
 namespace {
@@ -36,6 +40,73 @@ TEST(Metasurface, BiasIsClampedToSupplyRange) {
   m.set_bias(Voltage{45.0}, Voltage{-3.0});
   EXPECT_DOUBLE_EQ(m.bias_x().value(), 30.0);
   EXPECT_DOUBLE_EQ(m.bias_y().value(), 0.0);
+}
+
+TEST(Metasurface, NonFiniteBiasIsRejected) {
+  // Regression: std::clamp passes NaN through, so set_bias(NaN, 5) stored
+  // NaN and every later response() came back NaN.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  Metasurface m = Metasurface::llama_prototype();
+  m.set_bias(Voltage{4.0}, Voltage{9.0});
+  EXPECT_THROW(m.set_bias(Voltage{nan}, Voltage{5.0}), std::invalid_argument);
+  try {
+    m.set_bias(Voltage{5.0}, Voltage{-inf});
+    ADD_FAILURE() << "set_bias accepted an infinite vy";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("vy"), std::string::npos)
+        << e.what();
+  }
+  // A rejected call leaves the previous bias in place.
+  EXPECT_EQ(m.bias_x().value(), 4.0);
+  EXPECT_EQ(m.bias_y().value(), 9.0);
+  const em::JonesMatrix j = m.response(kF0, SurfaceMode::kTransmissive);
+  EXPECT_TRUE(std::isfinite(j.at(0, 0).real()));
+}
+
+TEST(Metasurface, NonFiniteBiasNeverReachesTheResponseCache) {
+  // Regression: with the cache on, a NaN bias was stored under an
+  // llround(NaN) key.
+  Metasurface m = Metasurface::llama_prototype();
+  m.enable_response_cache();
+  EXPECT_THROW(m.set_bias(Voltage{std::nan("")}, Voltage{5.0}),
+               std::invalid_argument);
+  (void)m.response(kF0, SurfaceMode::kTransmissive);
+  const std::optional<ResponseCacheStats> stats = m.response_cache_stats();
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->misses, 1u);
+  EXPECT_TRUE(std::isfinite(
+      m.response(kF0, SurfaceMode::kTransmissive).at(1, 1).imag()));
+}
+
+TEST(Metasurface, NonFiniteStuckBiasIsRejected) {
+  Metasurface m = Metasurface::llama_prototype();
+  StuckCellFault fault;
+  fault.fraction = 0.25;
+  fault.vx = Voltage{std::nan("")};
+  EXPECT_THROW(m.set_stuck_cells(fault), std::invalid_argument);
+  fault.vx = Voltage{3.0};
+  fault.vy = Voltage{std::numeric_limits<double>::infinity()};
+  EXPECT_THROW(m.set_stuck_cells(fault), std::invalid_argument);
+  EXPECT_FALSE(m.stuck_cells().has_value());
+}
+
+TEST(Metasurface, NonFiniteBatchBiasIsRejected) {
+  // Regression: response_grid clamped NaN lanes through and returned NaN
+  // cells.
+  const Metasurface m = Metasurface::llama_prototype();
+  const double nan = std::nan("");
+  EXPECT_THROW((void)m.response_grid(kF0, SurfaceMode::kTransmissive,
+                                     {0.0, nan}, {1.0}),
+               std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(
+      (void)m.response_grid(kF0, SurfaceMode::kReflective, {1.0}, {inf}),
+      std::invalid_argument);
+  const BiasList points{{Voltage{1.0}, Voltage{2.0}},
+                        {Voltage{3.0}, Voltage{nan}}};
+  EXPECT_THROW((void)m.response_batch(kF0, SurfaceMode::kTransmissive, points),
+               std::invalid_argument);
 }
 
 TEST(Metasurface, DcPowerIsNanowatts) {
