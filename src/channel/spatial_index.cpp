@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "src/common/contracts.h"
 
@@ -15,6 +16,11 @@ namespace {
 /// Degenerate-geometry guard: a device on top of a mount still gets a
 /// finite path length.
 constexpr double kMinLegM = 1e-3;
+
+/// Largest |coordinate / cell size| the grid accepts: 2^53, where doubles
+/// stop being exact integers. Cell indices then fit int64 with room for
+/// the ring search's differences and offsets.
+constexpr double kMaxGridIndex = 9007199254740992.0;
 
 }  // namespace
 
@@ -33,15 +39,16 @@ SpatialSurfaceIndex::SpatialSurfaceIndex(const std::vector<Point2>& positions,
     : cell_size_m_(cell_size_m), positions_(positions) {
   if (positions.empty())
     throw std::invalid_argument{"SpatialSurfaceIndex: no surface positions"};
-  if (!(cell_size_m > 0.0))
-    throw std::invalid_argument{"SpatialSurfaceIndex: cell size must be > 0"};
+  if (!(cell_size_m > 0.0) || !std::isfinite(cell_size_m))
+    throw std::invalid_argument{
+        "SpatialSurfaceIndex: cell size must be finite and > 0"};
 
   // Occupied grid cells sorted by (cy, cx): the cell ordinal — the frozen-
   // aggregation and shard-ownership granule — is a pure function of the
   // positions, independent of construction or thread interleaving.
   for (std::size_t i = 0; i < positions_.size(); ++i) {
-    const std::int64_t cx = grid_x(positions_[i].x_m);
-    const std::int64_t cy = grid_y(positions_[i].y_m);
+    const std::int64_t cx = grid_index(positions_[i].x_m, "surface x");
+    const std::int64_t cy = grid_index(positions_[i].y_m, "surface y");
     const auto it = std::lower_bound(
         cells_.begin(), cells_.end(), std::pair{cy, cx},
         [](const Cell& c, const std::pair<std::int64_t, std::int64_t>& key) {
@@ -66,12 +73,16 @@ SpatialSurfaceIndex::SpatialSurfaceIndex(const std::vector<Point2>& positions,
                 "every surface lands in exactly one occupied cell");
 }
 
-std::int64_t SpatialSurfaceIndex::grid_x(double x_m) const {
-  return static_cast<std::int64_t>(std::floor(x_m / cell_size_m_));
-}
-
-std::int64_t SpatialSurfaceIndex::grid_y(double y_m) const {
-  return static_cast<std::int64_t>(std::floor(y_m / cell_size_m_));
+std::int64_t SpatialSurfaceIndex::grid_index(double coord_m,
+                                             const char* what) const {
+  const double cell = std::floor(coord_m / cell_size_m_);
+  // Checked before the cast: converting a NaN or out-of-range double to
+  // int64 is undefined behaviour. NaN and +-inf fail the comparison.
+  if (!(std::abs(cell) <= kMaxGridIndex))
+    throw std::invalid_argument{
+        std::string{"SpatialSurfaceIndex: "} + what +
+        " must be finite with |coordinate / cell size| <= 2^53"};
+  return static_cast<std::int64_t>(cell);
 }
 
 std::int32_t SpatialSurfaceIndex::find_cell(std::int64_t cx,
@@ -99,8 +110,8 @@ const std::vector<std::size_t>& SpatialSurfaceIndex::surfaces_in_cell(
 }
 
 std::size_t SpatialSurfaceIndex::nearest(const Point2& p) const {
-  const std::int64_t px = grid_x(p.x_m);
-  const std::int64_t py = grid_y(p.y_m);
+  const std::int64_t px = grid_index(p.x_m, "nearest() x");
+  const std::int64_t py = grid_index(p.y_m, "nearest() y");
   // The grid's occupied bounding box caps the ring search for devices far
   // outside the deployment.
   std::int64_t max_ring = 0;

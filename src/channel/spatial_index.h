@@ -87,7 +87,9 @@ struct SurfaceLayout {
 class SpatialSurfaceIndex {
  public:
   SpatialSurfaceIndex() = default;
-  /// Throws std::invalid_argument on empty positions or cell_size <= 0.
+  /// Throws std::invalid_argument on empty positions, a cell size that is
+  /// not finite and > 0, or a position that is not finite or lies more
+  /// than 2^53 cells from the origin.
   SpatialSurfaceIndex(const std::vector<Point2>& positions,
                       double cell_size_m);
 
@@ -103,7 +105,8 @@ class SpatialSurfaceIndex {
 
   /// Nearest surface to `p` (ties broken toward the lowest id). Searches
   /// outward ring by ring from p's cell, so cost is O(local density), not
-  /// O(M).
+  /// O(M). Throws std::invalid_argument when `p` is not finite or lies
+  /// more than 2^53 cells from the origin.
   [[nodiscard]] std::size_t nearest(const Point2& p) const;
 
  private:
@@ -113,8 +116,11 @@ class SpatialSurfaceIndex {
     std::vector<std::size_t> surfaces;
   };
 
-  [[nodiscard]] std::int64_t grid_x(double x_m) const;
-  [[nodiscard]] std::int64_t grid_y(double y_m) const;
+  /// Grid index floor(coord / cell size) of one coordinate; throws
+  /// std::invalid_argument naming `what` when the coordinate is not finite
+  /// or the index exceeds 2^53 in magnitude.
+  [[nodiscard]] std::int64_t grid_index(double coord_m,
+                                        const char* what) const;
   /// Ordinal of grid cell (cx, cy); -1 when empty.
   [[nodiscard]] std::int32_t find_cell(std::int64_t cx, std::int64_t cy) const;
 

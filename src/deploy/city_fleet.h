@@ -81,7 +81,9 @@ class CityFleetEngine {
 
   /// Coherent received power for every device with every surface
   /// programmed at `biases` (size n_surfaces), sharded over spatial cells.
-  /// Byte-identical for any config.threads value.
+  /// Byte-identical for any config.threads value. Throws
+  /// std::invalid_argument on a wrong-sized or non-finite bias vector (so
+  /// do freeze_device and refreeze_device).
   [[nodiscard]] CityEvalReport evaluate(const std::vector<SurfaceBias>& biases);
   /// Same evaluation with an explicit worker count (0 = hardware default)
   /// overriding config.threads — the thread-scaling and determinism

@@ -9,17 +9,22 @@
 #include "src/codebook/codebook.h"
 #include "src/codebook/compiler.h"
 #include "src/common/contracts.h"
-#include "src/common/math_utils.h"
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/control/power_supply.h"
+#include "src/kernel/jones_kernels.h"
 
 namespace llama::deploy {
 
 namespace {
 
-common::Voltage clamp_bias(common::Voltage v) {
-  return common::Voltage{common::clamp(v.value(), 0.0, 30.0)};
+/// A checked, clamped bias snapped to the cache's quantization lattice: the
+/// value every cached response is evaluated at. Rejecting non-finite biases
+/// here keeps llround(NaN) from filing a NaN cell under an arbitrary key.
+double quantized_bias(const metasurface::ResponseCache& cache, double v,
+                      const char* what) {
+  return cache.quantize(common::Voltage{metasurface::checked_bias(v, what)})
+      .value();
 }
 
 /// Normalized map key for a frequency (mirrors ResponseCache::make_key's
@@ -56,27 +61,27 @@ em::JonesMatrix SharedResponseEngine::response(common::Frequency f,
                                                metasurface::SurfaceMode mode,
                                                common::Voltage vx,
                                                common::Voltage vy) {
-  const common::Voltage vxq = cache_.quantize(clamp_bias(vx));
-  const common::Voltage vyq = cache_.quantize(clamp_bias(vy));
-  const metasurface::ResponseCache::Key key =
-      cache_.make_key(f, vxq, vyq, static_cast<int>(mode));
+  const double vxq =
+      quantized_bias(cache_, vx.value(), "SharedResponseEngine: response vx");
+  const double vyq =
+      quantized_bias(cache_, vy.value(), "SharedResponseEngine: response vy");
+  const metasurface::ResponseCache::Key key = cache_.make_key(
+      f, common::Voltage{vxq}, common::Voltage{vyq}, static_cast<int>(mode));
   {
     const std::lock_guard<CountedMutex> lock(cache_mutex_);
     if (auto hit = cache_.find(key)) return *hit;
   }
-  // Miss: fetch (or build, once per frequency+mode) the shared plan, then
-  // evaluate outside the cache lock. Concurrent misses on one key both
-  // compute the same pure function of (f, quantized bias, mode); the second
-  // insert refreshes the entry with an identical value.
-  const em::JonesMatrix j =
-      mode == metasurface::SurfaceMode::kTransmissive
-          ? stack_.transmission(*transmission_plan(f), vxq, vyq)
-          : stack_.reflection(*reflection_plan(f), vxq, vyq);
+  // Miss: a 1x1 window through the same kernels as response_grid, outside
+  // the cache lock. Concurrent misses on one key both compute the same pure
+  // function of (f, quantized bias, mode); the second insert refreshes the
+  // entry with an identical value.
+  metasurface::JonesGrid cell(1, std::vector<em::JonesMatrix>(1));
+  evaluate_window(f, mode, {&vxq, 1}, {&vyq, 1}, cell);
   {
     const std::lock_guard<CountedMutex> lock(cache_mutex_);
-    cache_.insert(key, j);
+    cache_.insert(key, cell[0][0]);
   }
-  return j;
+  return cell[0][0];
 }
 
 std::shared_ptr<const metasurface::RotatorStack::TransmissionPlan>
@@ -99,6 +104,28 @@ SharedResponseEngine::reflection_plan(common::Frequency f) {
   return slot;
 }
 
+void SharedResponseEngine::evaluate_window(common::Frequency f,
+                                           metasurface::SurfaceMode mode,
+                                           std::span<const double> vxq,
+                                           std::span<const double> vyq,
+                                           metasurface::JonesGrid& grid) {
+  // One kernel per window: nx + ny axis solves, then the per-cell cascade.
+  // Each cell is a pure function of (plan, vx, vy) — not of the window's
+  // shape or the cell's place in it — so a cell computed here has the same
+  // bytes as the same key computed in any other window.
+  if (mode == metasurface::SurfaceMode::kTransmissive) {
+    const auto plan = transmission_plan(f);
+    const kernel::TransmissionKernel k{stack_, *plan, vxq, vyq};
+    for (std::size_t iy = 0; iy < vyq.size(); ++iy)
+      k.eval_grid_row(iy, grid[iy].data());
+  } else {
+    const auto plan = reflection_plan(f);
+    const kernel::ReflectionKernel k{stack_, *plan, vxq, vyq};
+    for (std::size_t iy = 0; iy < vyq.size(); ++iy)
+      k.eval_grid_row(iy, grid[iy].data());
+  }
+}
+
 metasurface::JonesGrid SharedResponseEngine::response_grid(
     common::Frequency f, metasurface::SurfaceMode mode,
     const std::vector<double>& vxs, const std::vector<double>& vys) {
@@ -106,14 +133,20 @@ metasurface::JonesGrid SharedResponseEngine::response_grid(
                               std::vector<em::JonesMatrix>(vxs.size()));
   if (vxs.empty() || vys.empty()) return grid;
 
-  // Quantized axes and keys, built once per window.
-  std::vector<common::Voltage> vxq(vxs.size());
-  std::vector<common::Voltage> vyq(vys.size());
+  // Clamped, quantized axes and keys, built once per window.
+  std::vector<double> vxq(vxs.size());
+  std::vector<double> vyq(vys.size());
   for (std::size_t ix = 0; ix < vxs.size(); ++ix)
-    vxq[ix] = cache_.quantize(clamp_bias(common::Voltage{vxs[ix]}));
+    vxq[ix] = quantized_bias(cache_, vxs[ix],
+                             "SharedResponseEngine: response_grid vxs");
   for (std::size_t iy = 0; iy < vys.size(); ++iy)
-    vyq[iy] = cache_.quantize(clamp_bias(common::Voltage{vys[iy]}));
+    vyq[iy] = quantized_bias(cache_, vys[iy],
+                             "SharedResponseEngine: response_grid vys");
   const int mode_key = static_cast<int>(mode);
+  const auto key_of = [&](std::size_t iy, std::size_t ix) {
+    return cache_.make_key(f, common::Voltage{vxq[ix]},
+                           common::Voltage{vyq[iy]}, mode_key);
+  };
 
   // Pass 1, one lock: drain every hit, remember the misses.
   std::vector<std::pair<std::size_t, std::size_t>> misses;
@@ -121,9 +154,7 @@ metasurface::JonesGrid SharedResponseEngine::response_grid(
     const std::lock_guard<CountedMutex> lock(cache_mutex_);
     for (std::size_t iy = 0; iy < vys.size(); ++iy)
       for (std::size_t ix = 0; ix < vxs.size(); ++ix) {
-        const metasurface::ResponseCache::Key key =
-            cache_.make_key(f, vxq[ix], vyq[iy], mode_key);
-        if (auto hit = cache_.find(key))
+        if (auto hit = cache_.find(key_of(iy, ix)))
           grid[iy][ix] = *hit;
         else
           misses.emplace_back(iy, ix);
@@ -131,23 +162,15 @@ metasurface::JonesGrid SharedResponseEngine::response_grid(
   }
   if (misses.empty()) return grid;
 
-  // Compute the misses outside any lock (pure planned evaluations).
-  if (mode == metasurface::SurfaceMode::kTransmissive) {
-    const auto plan = transmission_plan(f);
-    for (const auto& [iy, ix] : misses)
-      grid[iy][ix] = stack_.transmission(*plan, vxq[ix], vyq[iy]);
-  } else {
-    const auto plan = reflection_plan(f);
-    for (const auto& [iy, ix] : misses)
-      grid[iy][ix] = stack_.reflection(*plan, vxq[ix], vyq[iy]);
-  }
+  // Any miss: evaluate the whole window through one kernel outside any
+  // lock. Hit cells recompute to the bytes they were cached with.
+  evaluate_window(f, mode, vxq, vyq, grid);
 
   // Pass 2, one lock: publish the new cells.
   {
     const std::lock_guard<CountedMutex> lock(cache_mutex_);
     for (const auto& [iy, ix] : misses)
-      cache_.insert(cache_.make_key(f, vxq[ix], vyq[iy], mode_key),
-                    grid[iy][ix]);
+      cache_.insert(key_of(iy, ix), grid[iy][ix]);
   }
   return grid;
 }

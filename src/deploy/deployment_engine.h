@@ -5,13 +5,14 @@
 // Two pieces:
 //
 //  - SharedResponseEngine: a thread-safe response-plan registry plus one
-//    shared ResponseCache for every link at a given frequency. A standalone
-//    LlamaSystem rebuilds per-frequency plans per grid probe and owns a
-//    private cache; at deployment scale that repeats the identical
-//    bias-independent cascade work once per device. Here the plan is built
-//    once per (frequency, mode) and every device's Algorithm-1 grid draws
-//    from (and feeds) one memo — the coarse first-iteration window is the
-//    same 0-30 V grid for every device, so all but the first device hit.
+//    shared ResponseCache for every link at a given frequency. The plan is
+//    built once per (frequency, mode); every value the engine computes
+//    goes through the SoA kernels (src/kernel) built on that plan — a cold
+//    window costs nx + ny axis solves plus a per-cell cascade, not nx * ny
+//    scalar cascades. The LRU stays as the hit path: the coarse first
+//    Algorithm-1 window is the same 0-30 V grid for every device, so all
+//    but the first device hit, and an all-hit window is cheaper than any
+//    kernel build.
 //
 //  - DeploymentEngine: shards the per-device Algorithm-1 optimizations over
 //    common::parallel_for, then feeds each surface's per-device optima into
@@ -19,10 +20,14 @@
 //    (channel::capacity) and BER (channel::ber) under the schedule.
 //
 // Thread-safety / determinism contract: the registry and cache are
-// mutex-protected; every cached value is a pure function of its quantized
-// key (the ResponseCache quantization contract), so concurrent misses that
-// race on one key compute byte-identical matrices and the engine's results
-// are byte-identical for any thread count — only the hit/miss split varies.
+// mutex-protected. Every computed value is a kernel cell, which is a pure
+// function of (plan, quantized vx, quantized vy) — independent of the
+// window's shape and of the cell's position in it — so a cached value and
+// a fresh one agree byte for byte, concurrent misses that race on one key
+// compute identical matrices, and the engine's results are byte-identical
+// for any thread count; only the hit/miss split varies. Against the scalar
+// planned path (the golden reference) the engine agrees to <= 1e-12 per
+// component, the kernels' contract.
 #pragma once
 
 #include <atomic>
@@ -32,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,20 +95,26 @@ class SharedResponseEngine {
   explicit SharedResponseEngine(metasurface::RotatorStack stack,
                                 metasurface::ResponseCacheConfig cache = {});
 
-  /// Planned + cached response at a bias pair (clamped to the 0-30 V supply
-  /// range, then quantized per the cache contract). Safe to call from many
-  /// threads; the returned matrix is a pure function of
-  /// (frequency, quantized bias, mode).
+  /// Cached response at a bias pair (clamped to the 0-30 V supply range,
+  /// then quantized per the cache contract). A miss is evaluated as a 1x1
+  /// kernel window, so it has the same bytes as the cell response_grid
+  /// computes for that key. Safe to call from many threads; the returned
+  /// matrix is a pure function of (frequency, quantized bias, mode). Throws
+  /// std::invalid_argument when vx or vy is not finite.
   [[nodiscard]] em::JonesMatrix response(common::Frequency f,
                                          metasurface::SurfaceMode mode,
                                          common::Voltage vx,
                                          common::Voltage vy);
 
   /// Batched variant over a whole bias window: grid[iy][ix] is the response
-  /// at (vxs[ix], vys[iy]), equal to pointwise response() calls. The memo is
-  /// consulted and refilled with two lock acquisitions for the entire
-  /// window (not two per cell), which is what lets many device shards probe
-  /// concurrently without serializing on the cache mutex.
+  /// at (vxs[ix], vys[iy]), byte-equal to pointwise response() calls. The
+  /// memo is consulted and refilled with two lock acquisitions for the
+  /// entire window (not two per cell), which is what lets many device
+  /// shards probe concurrently without serializing on the cache mutex. An
+  /// all-hit window is served from the memo; otherwise one kernel over the
+  /// window's clamped, quantized axes evaluates every row (hit cells
+  /// recompute to their cached bytes) and only the misses are published.
+  /// Throws std::invalid_argument when any bias is not finite.
   [[nodiscard]] metasurface::JonesGrid response_grid(
       common::Frequency f, metasurface::SurfaceMode mode,
       const std::vector<double>& vxs, const std::vector<double>& vys);
@@ -129,6 +141,13 @@ class SharedResponseEngine {
   transmission_plan(common::Frequency f);
   [[nodiscard]] std::shared_ptr<const metasurface::RotatorStack::ReflectionPlan>
   reflection_plan(common::Frequency f);
+
+  /// Kernel evaluation of the quantized window vxq x vyq on the shared
+  /// plan for (f, mode): writes every grid[iy][ix]. Takes no cache lock.
+  void evaluate_window(common::Frequency f, metasurface::SurfaceMode mode,
+                       std::span<const double> vxq,
+                       std::span<const double> vyq,
+                       metasurface::JonesGrid& grid);
 
   const metasurface::RotatorStack stack_;
   mutable CountedMutex plan_mutex_;

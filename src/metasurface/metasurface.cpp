@@ -44,16 +44,13 @@ Metasurface Metasurface::llama_prototype() {
   return Metasurface{prototype_fr4_design()};
 }
 
-namespace {
-
-/// Clamps one bias voltage to the supply range [0, 30] V. A non-finite
-/// voltage is rejected: std::clamp would pass NaN straight through.
 double checked_bias(double v, const char* what) {
   if (!std::isfinite(v))
-    throw std::invalid_argument{std::string{"Metasurface: "} + what +
-                                " must be finite"};
+    throw std::invalid_argument{std::string{what} + " must be finite"};
   return common::clamp(v, 0.0, 30.0);
 }
+
+namespace {
 
 /// Clamp a raw bias axis to the supply range, matching set_bias.
 std::vector<double> clamp_bias_lane(const std::vector<double>& values,
@@ -67,8 +64,8 @@ std::vector<double> clamp_bias_lane(const std::vector<double>& values,
 }  // namespace
 
 void Metasurface::set_bias(common::Voltage vx, common::Voltage vy) {
-  const double x = checked_bias(vx.value(), "set_bias vx");
-  const double y = checked_bias(vy.value(), "set_bias vy");
+  const double x = checked_bias(vx.value(), "Metasurface: set_bias vx");
+  const double y = checked_bias(vy.value(), "Metasurface: set_bias vy");
   vx_ = common::Voltage{x};
   vy_ = common::Voltage{y};
 }
@@ -79,8 +76,10 @@ void Metasurface::set_stuck_cells(std::optional<StuckCellFault> fault) {
         fault->fraction > 1.0)
       throw std::invalid_argument{
           "Metasurface: stuck-cell fraction must lie in (0, 1]"};
-    fault->vx = common::Voltage{checked_bias(fault->vx.value(), "stuck vx")};
-    fault->vy = common::Voltage{checked_bias(fault->vy.value(), "stuck vy")};
+    fault->vx = common::Voltage{
+        checked_bias(fault->vx.value(), "Metasurface: stuck vx")};
+    fault->vy = common::Voltage{
+        checked_bias(fault->vy.value(), "Metasurface: stuck vy")};
   }
   stuck_ = fault;
 }
@@ -178,9 +177,9 @@ JonesGrid Metasurface::response_grid(common::Frequency f, SurfaceMode mode,
                  std::vector<em::JonesMatrix>(vx_values.size()));
   if (vx_values.empty() || vy_values.empty()) return grid;
   const std::vector<double> vxs =
-      clamp_bias_lane(vx_values, "response_grid vx_values");
+      clamp_bias_lane(vx_values, "Metasurface: response_grid vx_values");
   const std::vector<double> vys =
-      clamp_bias_lane(vy_values, "response_grid vy_values");
+      clamp_bias_lane(vy_values, "Metasurface: response_grid vy_values");
   // Evaluate the stuck response before handing out plan references: it may
   // (re)build the memoized plan slot for this (f, mode).
   std::optional<kernel::StuckBlend> blend;
@@ -224,8 +223,10 @@ std::vector<em::JonesMatrix> Metasurface::response_batch(
   std::vector<double> vxs(points.size());
   std::vector<double> vys(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    vxs[i] = checked_bias(points[i].first.value(), "response_batch vx");
-    vys[i] = checked_bias(points[i].second.value(), "response_batch vy");
+    vxs[i] = checked_bias(points[i].first.value(),
+                          "Metasurface: response_batch vx");
+    vys[i] = checked_bias(points[i].second.value(),
+                          "Metasurface: response_batch vy");
   }
   std::optional<kernel::StuckBlend> blend;
   if (stuck_)

@@ -60,6 +60,11 @@ using JonesGrid = std::vector<std::vector<em::JonesMatrix>>;
 /// A list of (Vx, Vy) bias pairs for batch evaluation.
 using BiasList = std::vector<std::pair<common::Voltage, common::Voltage>>;
 
+/// A bias voltage clamped to the 0-30 V supply range. A non-finite voltage
+/// throws std::invalid_argument "<what> must be finite" (std::clamp would
+/// pass NaN straight through), so `what` names the caller and argument.
+[[nodiscard]] double checked_bias(double v, const char* what);
+
 /// A programmable polarization-rotating surface.
 ///
 /// The two bias voltages (Vx, Vy) are the only control inputs — matching the

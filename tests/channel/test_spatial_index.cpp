@@ -42,6 +42,42 @@ TEST(SpatialSurfaceIndex, RejectsDegenerateInputs) {
   const std::vector<Point2> one{{1.0, 2.0}};
   EXPECT_THROW(SpatialSurfaceIndex(one, 0.0), std::invalid_argument);
   EXPECT_THROW(SpatialSurfaceIndex(one, -3.0), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(SpatialSurfaceIndex(one, nan), std::invalid_argument);
+  EXPECT_THROW(SpatialSurfaceIndex(one, inf), std::invalid_argument);
+}
+
+// Cell indices are floor(coord / cell size) cast to int64: a NaN, an
+// infinity or a huge coordinate must be rejected before the cast, which
+// would otherwise be undefined behaviour (float-cast-overflow under UBSan).
+TEST(SpatialSurfaceIndex, RejectsNonFiniteAndOutOfRangeCoordinates) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double two53 = 9007199254740992.0;
+  for (const Point2 bad : {Point2{1e300, 0.0}, Point2{0.0, -1e300},
+                           Point2{nan, 0.0}, Point2{0.0, inf},
+                           Point2{2.0 * two53, 0.0}}) {
+    const std::vector<Point2> positions{{1.0, 2.0}, bad};
+    EXPECT_THROW(SpatialSurfaceIndex(positions, 1.0), std::invalid_argument)
+        << bad.x_m << ", " << bad.y_m;
+  }
+  // The bound is on the cell index, so a tiny cell size rejects a modest
+  // coordinate too.
+  EXPECT_THROW(SpatialSurfaceIndex({{1.0, 0.0}}, 1e-300),
+               std::invalid_argument);
+  // 2^53 cells out is still representable.
+  const SpatialSurfaceIndex edge({{two53, 0.0}}, 1.0);
+  EXPECT_EQ(edge.nearest({two53, 0.0}), 0u);
+
+  const SpatialSurfaceIndex index({{1.0, 2.0}, {30.0, 40.0}}, 10.0);
+  for (const Point2 bad : {Point2{nan, 0.0}, Point2{0.0, nan},
+                           Point2{inf, 0.0}, Point2{1e300, 0.0}}) {
+    EXPECT_THROW((void)index.nearest(bad), std::invalid_argument)
+        << bad.x_m << ", " << bad.y_m;
+  }
+  EXPECT_EQ(index.nearest({2.0, 2.0}), 0u);
+  EXPECT_EQ(index.nearest({29.0, 41.0}), 1u);
 }
 
 TEST(SpatialSurfaceIndex, CellsPartitionTheSurfaceIds) {

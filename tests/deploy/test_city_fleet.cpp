@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -57,6 +58,23 @@ TEST(CityFleetEngine, ValidatesConfigAndRoster) {
                                           scenario.biases),
                std::out_of_range);
   EXPECT_THROW(core::city_scale_scenario(0, 1), std::invalid_argument);
+}
+
+// A non-finite bias is rejected at the response engine, so evaluate and
+// freeze_device report it instead of returning a mix of finite and NaN
+// powers.
+TEST(CityFleetEngine, RejectsNonFiniteBias) {
+  const core::CityScaleScenario scenario =
+      core::city_scale_scenario(16, 64, -58.0);
+  CityFleetEngine engine{scenario.config};
+  engine.assign(scenario.devices);
+  auto biases = scenario.biases;
+  biases[5].vx = common::Voltage{std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_THROW((void)engine.evaluate(biases), std::invalid_argument);
+  EXPECT_THROW((void)engine.freeze_device(0, biases), std::invalid_argument);
+  biases[5].vx = scenario.biases[5].vx;
+  biases[9].vy = common::Voltage{std::numeric_limits<double>::infinity()};
+  EXPECT_THROW((void)engine.evaluate(biases), std::invalid_argument);
 }
 
 TEST(CityFleetEngine, ExplicitSurfaceOverridesNearest) {

@@ -6,7 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "src/core/scenarios.h"
 #include "src/metasurface/designs.h"
@@ -88,6 +94,123 @@ TEST(SharedResponseEngine, ClearDropsPlansCacheAndStats) {
   EXPECT_EQ(engine.cache_size(), 0u);
   EXPECT_EQ(engine.cache_stats().hits, 0u);
   EXPECT_EQ(engine.cache_stats().misses, 0u);
+}
+
+TEST(SharedResponseEngine, RejectsNonFiniteBiases) {
+  SharedResponseEngine engine{metasurface::prototype_fr4_design()};
+  const Frequency f = Frequency::ghz(2.44);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto message_of = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no std::invalid_argument thrown";
+  };
+  EXPECT_EQ(message_of([&] {
+              (void)engine.response(f, SurfaceMode::kTransmissive,
+                                    Voltage{nan}, Voltage{5.0});
+            }),
+            "SharedResponseEngine: response vx must be finite");
+  EXPECT_EQ(message_of([&] {
+              (void)engine.response(f, SurfaceMode::kReflective, Voltage{5.0},
+                                    Voltage{-inf});
+            }),
+            "SharedResponseEngine: response vy must be finite");
+  EXPECT_EQ(message_of([&] {
+              (void)engine.response_grid(f, SurfaceMode::kTransmissive,
+                                         {nan, 3.0}, {5.0});
+            }),
+            "SharedResponseEngine: response_grid vxs must be finite");
+  EXPECT_EQ(message_of([&] {
+              (void)engine.response_grid(f, SurfaceMode::kTransmissive,
+                                         {3.0}, {5.0, inf});
+            }),
+            "SharedResponseEngine: response_grid vys must be finite");
+  // Rejected before any lookup: nothing cached, nothing counted.
+  EXPECT_EQ(engine.cache_size(), 0u);
+  EXPECT_EQ(engine.cache_stats().hits + engine.cache_stats().misses, 0u);
+}
+
+/// Clamped, 1 mV-quantized bias: the value the engine evaluates at.
+double engine_bias(double v) {
+  const metasurface::ResponseCache lattice{metasurface::ResponseCacheConfig{}};
+  return lattice.quantize(Voltage{std::clamp(v, 0.0, 30.0)}).value();
+}
+
+void expect_same_bytes(const metasurface::JonesGrid& a,
+                       const metasurface::JonesGrid& b,
+                       const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t iy = 0; iy < a.size(); ++iy) {
+    ASSERT_EQ(a[iy].size(), b[iy].size()) << what;
+    EXPECT_EQ(std::memcmp(a[iy].data(), b[iy].data(),
+                          a[iy].size() * sizeof(JonesMatrix)),
+              0)
+        << what << " row " << iy;
+  }
+}
+
+// Every engine value is a kernel cell, a pure function of (plan, quantized
+// bias): a window's bytes must not depend on which of its cells were
+// already cached, or by which window shape they were cached.
+TEST(SharedResponseEngine, GridBytesDoNotDependOnCacheState) {
+  const Frequency f = Frequency::ghz(2.44);
+  // Off-lattice and out-of-range values exercise the clamp + quantization.
+  const std::vector<double> vxs{-1.0, 0.0, 3.3337, 7.5, 12.2504, 30.0, 31.0};
+  const std::vector<double> vys{0.0, 4.0004, 15.0, 22.75, 29.9996};
+  for (const SurfaceMode mode :
+       {SurfaceMode::kTransmissive, SurfaceMode::kReflective}) {
+    SharedResponseEngine cold{metasurface::prototype_fr4_design()};
+    const metasurface::JonesGrid grid = cold.response_grid(f, mode, vxs, vys);
+
+    // Pre-warmed pointwise on a checkerboard (the window still misses, so a
+    // kernel recomputes it) and on every cell (the memo serves it all).
+    for (const bool every_cell : {false, true}) {
+      SharedResponseEngine pointwise{metasurface::prototype_fr4_design()};
+      for (std::size_t iy = 0; iy < vys.size(); ++iy)
+        for (std::size_t ix = 0; ix < vxs.size(); ++ix)
+          if (every_cell || (ix + iy) % 2 == 0)
+            (void)pointwise.response(f, mode, Voltage{vxs[ix]},
+                                     Voltage{vys[iy]});
+      const std::uint64_t misses_before = pointwise.cache_stats().misses;
+      expect_same_bytes(pointwise.response_grid(f, mode, vxs, vys), grid,
+                        every_cell ? "pre-warmed pointwise on every cell"
+                                   : "pre-warmed pointwise on some cells");
+      EXPECT_EQ(pointwise.cache_stats().misses == misses_before, every_cell);
+    }
+
+    SharedResponseEngine overlapped{metasurface::prototype_fr4_design()};
+    (void)overlapped.response_grid(f, mode, {7.5, 12.2504, 18.0, 31.0},
+                                   {2.0, 15.0, 29.9996});
+    expect_same_bytes(overlapped.response_grid(f, mode, vxs, vys), grid,
+                      "pre-warmed by an overlapping window");
+    EXPECT_GT(overlapped.cache_stats().hits, 0u);
+
+    // The same kernels behind Metasurface::response_grid, on the engine's
+    // quantized axes: byte for byte. The scalar planned path: <= 1e-12.
+    std::vector<double> vxq(vxs.size());
+    std::vector<double> vyq(vys.size());
+    std::transform(vxs.begin(), vxs.end(), vxq.begin(), engine_bias);
+    std::transform(vys.begin(), vys.end(), vyq.begin(), engine_bias);
+    const metasurface::Metasurface surface{
+        metasurface::prototype_fr4_design()};
+    expect_same_bytes(surface.response_grid(f, mode, vxq, vyq), grid,
+                      "Metasurface::response_grid");
+    const metasurface::RotatorStack& stack = cold.stack();
+    for (std::size_t iy = 0; iy < vys.size(); ++iy)
+      for (std::size_t ix = 0; ix < vxs.size(); ++ix) {
+        const Voltage vx{vxq[ix]};
+        const Voltage vy{vyq[iy]};
+        const JonesMatrix golden =
+            mode == SurfaceMode::kTransmissive
+                ? stack.transmission(stack.plan_transmission(f), vx, vy)
+                : stack.reflection(stack.plan_reflection(f), vx, vy);
+        expect_jones_near(grid[iy][ix], golden, kTol, "scalar plan");
+      }
+  }
 }
 
 /// The acceptance-scale scenario: 24 devices, 2 surfaces.

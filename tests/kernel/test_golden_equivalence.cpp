@@ -4,8 +4,9 @@
 // plan) is the golden reference; the kernels may reassociate, so the
 // contract is <= 1e-12 per-component agreement — NOT bit-equality. The
 // byte-identical invariant is separate and WITHIN the kernel path: one grid
-// must memcmp-equal itself for any thread count. Each test below says which
-// of the two properties it asserts.
+// must memcmp-equal itself for any thread count, and one cell must
+// memcmp-equal itself in any window. Each test below says which of these
+// properties it asserts.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,6 +16,7 @@
 #include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/em/jones.h"
+#include "src/kernel/jones_kernels.h"
 #include "src/metasurface/designs.h"
 #include "src/metasurface/metasurface.h"
 
@@ -195,6 +197,76 @@ TEST(GoldenEquivalence, ThreadCountDoesNotChangeGridBytes) {
           }
         }
       }
+    }
+  }
+}
+
+/// Evaluates the plane vxs x vys through one kernel built directly on the
+/// stack's plan for (f, mode), row by row.
+JonesGrid kernel_grid(const RotatorStack& stack, Frequency f, SurfaceMode mode,
+                      const std::vector<double>& vxs,
+                      const std::vector<double>& vys) {
+  JonesGrid grid(vys.size(), std::vector<JonesMatrix>(vxs.size()));
+  if (mode == SurfaceMode::kTransmissive) {
+    const RotatorStack::TransmissionPlan plan = stack.plan_transmission(f);
+    const TransmissionKernel k{stack, plan, vxs, vys};
+    for (std::size_t iy = 0; iy < vys.size(); ++iy)
+      k.eval_grid_row(iy, grid[iy].data());
+  } else {
+    const RotatorStack::ReflectionPlan plan = stack.plan_reflection(f);
+    const ReflectionKernel k{stack, plan, vxs, vys};
+    for (std::size_t iy = 0; iy < vys.size(); ++iy)
+      k.eval_grid_row(iy, grid[iy].data());
+  }
+  return grid;
+}
+
+bool same_bytes(const JonesMatrix& a, const JonesMatrix& b) {
+  return std::memcmp(&a, &b, sizeof(JonesMatrix)) == 0;
+}
+
+/// Property 3 (window independence): a kernel cell is a pure function of
+/// (plan, vx, vy) — not of the window's shape or the cell's place in it.
+/// The shared response engine caches kernel cells from windows of any
+/// shape and serves them into other windows, so this is what keeps cached
+/// and fresh values byte-equal. Every cell of a 31x31 plane must
+/// memcmp-equal the same bias pair evaluated alone (1x1) and inside every
+/// 5x5 window that covers it, i.e. at each of the 25 in-window positions
+/// an interior cell can take.
+TEST(GoldenEquivalence, CellBytesDoNotDependOnWindowShapeOrPosition) {
+  Rng rng{0xC0FFEE06};
+  constexpr std::size_t kBig = 31;
+  constexpr std::size_t kWin = 5;
+  for (NamedDesign& d : all_designs()) {
+    for (const SurfaceMode mode :
+         {SurfaceMode::kTransmissive, SurfaceMode::kReflective}) {
+      const Frequency f = Frequency::ghz(d.center_ghz);
+      std::vector<double> vxs(kBig);
+      std::vector<double> vys(kBig);
+      for (double& v : vxs) v = rng.uniform(0.0, 30.0);
+      for (double& v : vys) v = rng.uniform(0.0, 30.0);
+      const JonesGrid big = kernel_grid(d.stack, f, mode, vxs, vys);
+      std::size_t mismatches = 0;
+      for (std::size_t iy = 0; iy < kBig; ++iy)
+        for (std::size_t ix = 0; ix < kBig; ++ix) {
+          const JonesGrid alone =
+              kernel_grid(d.stack, f, mode, {vxs[ix]}, {vys[iy]});
+          if (!same_bytes(alone[0][0], big[iy][ix])) ++mismatches;
+        }
+      for (std::size_t y0 = 0; y0 + kWin <= kBig; ++y0)
+        for (std::size_t x0 = 0; x0 + kWin <= kBig; ++x0) {
+          const std::vector<double> wx(vxs.begin() + x0,
+                                       vxs.begin() + x0 + kWin);
+          const std::vector<double> wy(vys.begin() + y0,
+                                       vys.begin() + y0 + kWin);
+          const JonesGrid window = kernel_grid(d.stack, f, mode, wx, wy);
+          for (std::size_t iy = 0; iy < kWin; ++iy)
+            for (std::size_t ix = 0; ix < kWin; ++ix)
+              if (!same_bytes(window[iy][ix], big[y0 + iy][x0 + ix]))
+                ++mismatches;
+        }
+      EXPECT_EQ(mismatches, 0u)
+          << d.name << " mode=" << static_cast<int>(mode);
     }
   }
 }

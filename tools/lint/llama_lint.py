@@ -51,7 +51,10 @@ rules over src/:
                    src/kernel silently reverts the hot path to O(cells) axis
                    solves and defeats vectorization. The scalar path stays
                    the golden REFERENCE, called from tests and consumers —
-                   never from inside a kernel.
+                   never from inside a kernel. The same patterns, except
+                   .response() (the shared response engine's own API),
+                   apply in the deploy dir, whose engine computes every
+                   value through the kernels.
 
 Waivers: a site silences exactly one rule with an inline comment carrying a
 reason, either trailing the line or on the line directly above it:
@@ -146,17 +149,25 @@ SERVE_BLOCKING_PATTERNS = [
 
 # kernel-purity guards every file under a /kernel/ directory: kernels must
 # consume plan/lane data, never re-enter the scalar per-cell cascade API.
-KERNEL_SCOPE = ("/kernel/",)
+# It also guards /deploy/, whose shared response engine computes every
+# value through the kernels; there `.response(` is the engine's own API
+# (callers ask it for responses), so only that one pattern is left out.
+RESPONSE_CALL = re.compile(r"(?:\.|->)\s*response\s*\(")
 KERNEL_SCALAR_PATTERNS = [
     re.compile(r"\bplanned_response\s*\("),
     re.compile(r"\bjones_transmission\s*\("),
     re.compile(r"\baxis_sparams\s*\("),
     re.compile(r"\baxis_transmission\s*\("),
     re.compile(r"\baxis_reflection\s*\("),
-    re.compile(r"(?:\.|->)\s*response\s*\("),
+    RESPONSE_CALL,
     re.compile(r"(?:\.|->)\s*transmission\s*\("),
     re.compile(r"(?:\.|->)\s*reflection\s*\("),
 ]
+KERNEL_PURITY_SCOPES = (
+    ("/kernel/", KERNEL_SCALAR_PATTERNS),
+    ("/deploy/", [pat for pat in KERNEL_SCALAR_PATTERNS
+                  if pat is not RESPONSE_CALL]),
+)
 
 PARALLEL_FOR = re.compile(r"\bparallel_for\s*(?:<[^>]*>)?\s*\(")
 BYREF_CAPTURE = re.compile(r"\[\s*&")
@@ -300,16 +311,15 @@ def scan_file(path: Path, extra_unordered: set[str] | None = None,
                    "memory_order_relaxed outside the blessed stats "
                    "counters; use seq_cst or bless the site with a waiver")
 
-        if any(frag in norm for frag in KERNEL_SCOPE):
-            for pat in KERNEL_SCALAR_PATTERNS:
-                if pat.search(code):
-                    report(i, "kernel-purity",
-                           "scalar per-cell cascade call inside the kernel "
-                           "layer; evaluate through the lane kernels "
-                           "(axis_s_lanes / face_admittance_lanes) and keep "
-                           "the scalar path as the external golden "
-                           "reference")
-                    break
+        for frag, patterns in KERNEL_PURITY_SCOPES:
+            if frag in norm and any(pat.search(code) for pat in patterns):
+                report(i, "kernel-purity",
+                       "scalar per-cell cascade call inside the kernel "
+                       "layer or the response engine; evaluate through the "
+                       "lane kernels (axis_s_lanes / face_admittance_lanes, "
+                       "TransmissionKernel / ReflectionKernel) and keep the "
+                       "scalar path as the external golden reference")
+                break
 
         if any(frag in norm for frag in SERVE_SCOPE):
             for pat in SERVE_BLOCKING_PATTERNS:

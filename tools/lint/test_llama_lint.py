@@ -9,7 +9,10 @@ Checks, per the lint contract:
   - a well-formed waiver suppresses exactly one rule at one site
     (fixtures/waivers/waived_ok.cpp -> zero findings),
   - a reason-less waiver is a bad-waiver finding and the waived rule still
-    fires (fixtures/waivers/waived_no_reason.cpp, hardcoded expectations).
+    fires (fixtures/waivers/waived_no_reason.cpp, hardcoded expectations),
+  - kernel-purity covers the deploy dir without flagging the response
+    engine's own `.response(` API
+    (fixtures/violations/deploy/scalar_miss_loop.cpp).
 
 Exit status: 0 on success, 1 on any mismatch.
 """
@@ -84,6 +87,18 @@ def main() -> int:
     if actual != expected:
         failures.append(f"{no_reason.name}: expected {sorted(expected)}, "
                         f"got {sorted(actual)}")
+
+    # kernel-purity in the deploy dir: the seeded scalar cascade calls fire
+    # (checked above), but `.response(` (the shared response engine's own
+    # API) does not.
+    deploy_fixture = FIXTURES / "violations" / "deploy" / "scalar_miss_loop.cpp"
+    deploy_lines = deploy_fixture.read_text(encoding="utf-8").splitlines()
+    response_line = next(n for n, line in enumerate(deploy_lines, start=1)
+                         if "engine.response(" in line)
+    if any(line == response_line for line, _ in
+           actual_findings(deploy_fixture)):
+        failures.append(f"{deploy_fixture.name}:{response_line}: the engine's "
+                        "own .response( call was flagged in the deploy dir")
 
     # Every rule must be exercised by at least one seeded violation.
     seeded_rules = set()
