@@ -11,9 +11,14 @@
 //   - the resilient fleet report is byte-identical for any thread count
 //     with faults enabled ("deterministic":true).
 //
-// `--json` emits one line per policy with `outage_fraction`,
+// A third line reruns the resilient fleet with cross-surface leakage on
+// (faults + leakage: the fleet tick loop's health pass and leakage
+// snapshot both live), with its own 1-vs-4-worker determinism flag; CI
+// pins it deterministic with outage_fraction <= 0.10.
+//
+// `--json` emits one line per run with `outage_fraction`,
 // `retune_airtime_s`, `delivered_mbps`, `reassignments`,
-// `dropped_measurements` and `deterministic`.
+// `dropped_measurements` and (resilient runs) `deterministic`.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -104,10 +109,13 @@ int main(int argc, char** argv) {
   const std::string tag =
       "_n" + std::to_string(n_devices) + "_m" + std::to_string(m_surfaces);
 
-  const core::SystemConfig device_cfg = core::device_system_config(
-      scenario.config.deployment, common::Angle::degrees(0.0));
-  const codebook::Codebook book =
-      codebook::CodebookCompiler{device_cfg}.compile();
+  const auto compile_for = [](const track::FleetConfig& config) {
+    return codebook::CodebookCompiler{
+        core::device_system_config(config.deployment,
+                                   common::Angle::degrees(0.0))}
+        .compile();
+  };
+  const codebook::Codebook book = compile_for(scenario.config);
 
   track::FleetTracker tracker{scenario.config};
 
@@ -136,24 +144,46 @@ int main(int argc, char** argv) {
 
   // Thread-count determinism with the fault layer live: 1 worker vs 4 must
   // produce a byte-identical fleet report.
-  track::FleetConfig cfg1 = scenario.config;
-  cfg1.deployment.threads = 1;
-  track::FleetConfig cfg4 = scenario.config;
-  cfg4.deployment.threads = 4;
-  track::FleetTracker tracker1{cfg1};
-  track::FleetTracker tracker4{cfg4};
-  const std::string fp1 = fingerprint(
-      tracker1.run(scenario.devices, make_resilient, scenario.ticks));
-  const std::string fp4 = fingerprint(
-      tracker4.run(scenario.devices, make_resilient, scenario.ticks));
-  const bool deterministic = fp1 == fp4;
+  const auto deterministic_for = [&](const track::FleetConfig& config,
+                                     const track::PolicyFactory& factory) {
+    track::FleetConfig cfg1 = config;
+    cfg1.deployment.threads = 1;
+    track::FleetConfig cfg4 = config;
+    cfg4.deployment.threads = 4;
+    return fingerprint(track::FleetTracker{cfg1}.run(
+               scenario.devices, factory, scenario.ticks)) ==
+           fingerprint(track::FleetTracker{cfg4}.run(
+               scenario.devices, factory, scenario.ticks));
+  };
+  const bool deterministic =
+      deterministic_for(scenario.config, make_resilient);
 
+  // The same drill with cross-surface leakage on. The leakage scene is part
+  // of the codebook's config hash, so it gets its own compile.
+  track::FleetConfig leaky = scenario.config;
+  leaky.deployment.interference.enable_leakage = true;
+  const codebook::Codebook leaky_book = compile_for(leaky);
+  const track::PolicyFactory make_leaky_resilient = [&] {
+    return std::make_unique<fault::ResilientPolicy>(leaky_book,
+                                                    resilient_opts);
+  };
+  track::FleetTracker leaky_tracker{leaky};
+  const PolicyOutcome leaky_resilient =
+      run_policy(leaky_tracker, scenario.devices, make_leaky_resilient,
+                 "fault_drill_resilient_leakage" + tag, scenario.ticks);
+  const bool leaky_deterministic =
+      deterministic_for(leaky, make_leaky_resilient);
+
+  const auto flag = [](bool identical) {
+    return identical ? std::string{",\"deterministic\":true"}
+                     : std::string{",\"deterministic\":false"};
+  };
   bench::print_result(baseline.timing, json, extra_json(baseline.report));
+  bench::print_result(resilient.timing, json,
+                      extra_json(resilient.report) + flag(deterministic));
   bench::print_result(
-      resilient.timing, json,
-      extra_json(resilient.report) +
-          (deterministic ? ",\"deterministic\":true"
-                         : ",\"deterministic\":false"));
+      leaky_resilient.timing, json,
+      extra_json(leaky_resilient.report) + flag(leaky_deterministic));
 
   if (!json) {
     const double ratio =
@@ -171,6 +201,12 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < resilient.report.surface_health.size(); ++s)
       std::printf("  -> surface %zu final health: %s\n", s,
                   fault::to_string(resilient.report.surface_health[s]));
+    std::printf(
+        "  -> with leakage: outage %.3f, %ld reassignments, "
+        "deterministic=%s\n",
+        leaky_resilient.report.mean_outage_fraction,
+        leaky_resilient.report.reassignments,
+        leaky_deterministic ? "yes" : "no");
   }
-  return deterministic ? 0 : 1;
+  return deterministic && leaky_deterministic ? 0 : 1;
 }

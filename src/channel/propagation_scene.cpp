@@ -71,9 +71,9 @@ PropagationScene PropagationScene::from_spec(Antenna tx_antenna,
                                              Antenna rx_antenna,
                                              LinkGeometry geometry,
                                              Environment environment,
-                                             const SceneSpec& spec) {
+                                             SceneSpec spec) {
   return PropagationScene{std::move(tx_antenna), std::move(rx_antenna),
-                          geometry, std::move(environment), spec};
+                          geometry, std::move(environment), std::move(spec)};
 }
 
 std::size_t PropagationScene::add_leakage_surface(

@@ -150,7 +150,7 @@ class PropagationScene {
                                                   Antenna rx_antenna,
                                                   LinkGeometry geometry,
                                                   Environment environment,
-                                                  const SceneSpec& spec);
+                                                  SceneSpec spec);
 
   /// Adds a non-serving surface + its leakage path; returns its scene id.
   /// Throws std::logic_error when relay or placed surfaces already exist:

@@ -113,26 +113,42 @@ std::size_t SpatialSurfaceIndex::nearest(const Point2& p) const {
   const std::int64_t px = grid_index(p.x_m, "nearest() x");
   const std::int64_t py = grid_index(p.y_m, "nearest() y");
   // The grid's occupied bounding box caps the ring search for devices far
-  // outside the deployment.
+  // outside the deployment; the nearest occupied ring says how far out the
+  // first candidate lies.
   std::int64_t max_ring = 0;
-  for (const Cell& c : cells_)
-    max_ring = std::max({max_ring, std::abs(c.cx - px), std::abs(c.cy - py)});
+  std::int64_t min_ring = std::numeric_limits<std::int64_t>::max();
+  for (const Cell& c : cells_) {
+    const std::int64_t ring =
+        std::max(std::abs(c.cx - px), std::abs(c.cy - py));
+    max_ring = std::max(max_ring, ring);
+    min_ring = std::min(min_ring, ring);
+  }
 
   double best_d = std::numeric_limits<double>::infinity();
   std::size_t best = 0;
-  const auto scan = [&](std::int32_t cell) {
-    if (cell < 0) return;
-    for (std::size_t s : cells_[static_cast<std::size_t>(cell)].surfaces) {
-      const double d = distance_m(p, positions_[s]);
-      // Strict < plus ascending per-cell ids: ties resolve to the lowest
-      // surface id, deterministically.
-      if (d < best_d || (d == best_d && s < best)) {
-        best_d = d;
-        best = s;
-      }
+  const auto consider = [&](std::size_t s) {
+    const double d = distance_m(p, positions_[s]);
+    // Strict < plus a lowest-id tie break: ties resolve to the lowest
+    // surface id, deterministically, whatever the visiting order.
+    if (d < best_d || (d == best_d && s < best)) {
+      best_d = d;
+      best = s;
     }
   };
-  for (std::int64_t ring = 0; ring <= max_ring; ++ring) {
+  // The ring walk probes about (2 * min_ring + 1)^2 cells before its first
+  // candidate, quadratic in the query's distance. Once that exceeds the
+  // surface count a linear scan is cheaper, and it finds the same surface.
+  const double walk_side = 2.0 * static_cast<double>(min_ring) + 1.0;
+  if (walk_side * walk_side > static_cast<double>(positions_.size())) {
+    for (std::size_t s = 0; s < positions_.size(); ++s) consider(s);
+    return best;
+  }
+  const auto scan = [&](std::int32_t cell) {
+    if (cell < 0) return;
+    for (std::size_t s : cells_[static_cast<std::size_t>(cell)].surfaces)
+      consider(s);
+  };
+  for (std::int64_t ring = min_ring; ring <= max_ring; ++ring) {
     // Any cell at Chebyshev ring r is at least (r - 1) * cell_size away
     // from p, so once a candidate beats that floor the search is complete.
     if (best_d < static_cast<double>(ring - 1) * cell_size_m_) break;

@@ -104,9 +104,11 @@ class SpatialSurfaceIndex {
       std::int32_t cell) const;
 
   /// Nearest surface to `p` (ties broken toward the lowest id). Searches
-  /// outward ring by ring from p's cell, so cost is O(local density), not
-  /// O(M). Throws std::invalid_argument when `p` is not finite or lies
-  /// more than 2^53 cells from the origin.
+  /// outward ring by ring from the first occupied ring around p's cell, so
+  /// cost is O(local density), not O(M); a query so far out that the walk
+  /// would probe more cells than there are surfaces scans all M instead
+  /// (same answer, bounded cost). Throws std::invalid_argument when `p` is
+  /// not finite or lies more than 2^53 cells from the origin.
   [[nodiscard]] std::size_t nearest(const Point2& p) const;
 
  private:

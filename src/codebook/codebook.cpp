@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "src/common/constants.h"
 #include "src/common/contracts.h"
@@ -58,6 +60,18 @@ double fold_orientation(common::Angle orientation) {
   double o = std::fmod(orientation.rad(), common::kPi);
   if (o < 0.0) o += common::kPi;
   return o;
+}
+
+/// Rejects a non-finite query coordinate: a NaN survives locate()'s clamp
+/// and its cast to an index is undefined behaviour.
+void check_query(common::Frequency f, common::Angle orientation,
+                 const char* who) {
+  if (!std::isfinite(f.in_hz()))
+    throw std::invalid_argument{std::string{who} +
+                                ": frequency must be finite"};
+  if (!std::isfinite(orientation.rad()))
+    throw std::invalid_argument{std::string{who} +
+                                ": orientation must be finite"};
 }
 
 /// Bracketing lattice indices and interpolation weight for a clamped value.
@@ -133,6 +147,7 @@ const CellEntry& Codebook::cell(std::size_t fi, std::size_t oi) const {
 
 BiasPoint Codebook::lookup(common::Frequency f,
                            common::Angle orientation) const {
+  check_query(f, orientation, "Codebook::lookup");
   const AxisPos pf = locate(header_.frequency_hz, f.in_hz());
   const AxisPos po =
       locate(header_.orientation_rad, fold_orientation(orientation));
@@ -164,6 +179,7 @@ BiasPoint Codebook::lookup(common::Frequency f,
 
 const CellEntry& Codebook::nearest(common::Frequency f,
                                    common::Angle orientation) const {
+  check_query(f, orientation, "Codebook::nearest");
   const AxisPos pf = locate(header_.frequency_hz, f.in_hz());
   const AxisPos po =
       locate(header_.orientation_rad, fold_orientation(orientation));

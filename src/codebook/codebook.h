@@ -110,11 +110,13 @@ class Codebook {
   /// degrees first (linear polarization is pi-periodic); both coordinates
   /// are then clamped to the lattice range (flat extrapolation, matching
   /// common::interp1's convention). No locks, no allocation, no mutation.
+  /// Throws std::invalid_argument naming the argument when f or the
+  /// orientation is not finite.
   [[nodiscard]] BiasPoint lookup(common::Frequency f,
                                  common::Angle orientation) const;
 
   /// The single lattice cell nearest to (f, orientation) — the anchor for
-  /// fine-sweep refinement.
+  /// fine-sweep refinement. Throws like lookup() on a non-finite query.
   [[nodiscard]] const CellEntry& nearest(common::Frequency f,
                                          common::Angle orientation) const;
 

@@ -37,51 +37,20 @@ CityFleetEngine::CityFleetEngine(DeploymentConfig config,
 
 void CityFleetEngine::assign(const std::vector<DeviceSpec>& devices) {
   devices_.clear();
-  cell_devices_.assign(index_.cell_count(), {});
+  devices_.reserve(devices.size());
   total_pruned_ = 0;
   total_kept_ = 0;
-  devices_.reserve(devices.size());
-
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    const DeviceSpec& spec = devices[i];
-    if (!spec.position)
-      throw std::invalid_argument{
-          "CityFleetEngine: every device needs a position"};
-    std::size_t serving;
-    if (spec.surface >= 0) {
-      serving = static_cast<std::size_t>(spec.surface);
-      if (serving >= config_.n_surfaces)
-        throw std::out_of_range{
-            "CityFleetEngine: device surface index out of range"};
-    } else {
-      serving = index_.nearest(*spec.position);
-    }
-
-    channel::CitySceneBuild build = channel::build_city_scene_spec(
-        index_, config_.layout, serving, *spec.position,
-        config_.geometry.tx_surface_distance_m);
-    // The AP sits tx_surface_distance behind its transmissive surface; the
-    // device is serving_distance past it on the far side.
-    channel::LinkGeometry g = config_.geometry;
-    g.tx_rx_distance_m =
-        g.tx_surface_distance_m + build.serving_distance_m;
-
-    std::vector<std::size_t> to_deployment;
-    to_deployment.reserve(1 + build.spec.placed.size());
-    to_deployment.push_back(serving);  // scene home = the serving surface
-    for (const channel::PlacedLeakageSpec& placed : build.spec.placed)
-      to_deployment.push_back(placed.external_id);
-    total_kept_ += build.spec.placed.size();
-    total_pruned_ += build.spec.pruned_count;
-
-    devices_.push_back(DeviceState{
-        spec.name, serving, std::move(to_deployment),
-        channel::PropagationScene::from_spec(
-            config_.tx_antenna, config_.rx_antenna.oriented(spec.orientation),
-            g, config_.environment, build.spec)});
-    cell_devices_[static_cast<std::size_t>(index_.cell_of(serving))]
-        .push_back(i);
-  }
+  cell_devices_ = partition_fleet(
+      config_, devices, [&](std::size_t i, DevicePlacement&& p) {
+        total_kept_ += p.scene.placed.size();
+        total_pruned_ += p.scene.pruned_count;
+        devices_.push_back(DeviceState{
+            p.serving, std::move(p.externals),
+            channel::PropagationScene::from_spec(
+                config_.tx_antenna,
+                config_.rx_antenna.oriented(devices[i].orientation),
+                p.geometry, config_.environment, std::move(p.scene))});
+      });
 }
 
 std::size_t CityFleetEngine::serving_surface(std::size_t device) const {
@@ -122,8 +91,9 @@ void CityFleetEngine::view_for(const DeviceState& state,
                                std::vector<const em::JonesMatrix*>& view)
     const {
   view.assign(state.scene.surface_count(), nullptr);
-  for (std::size_t j = 0; j < state.scene_to_deployment.size(); ++j)
-    view[j] = &responses[state.scene_to_deployment[j]];
+  view[channel::PropagationScene::kHomeSurface] = &responses[state.serving];
+  for (std::size_t k = 0; k < state.externals.size(); ++k)
+    view[k + 1] = &responses[state.externals[k]];
 }
 
 CityEvalReport CityFleetEngine::evaluate(

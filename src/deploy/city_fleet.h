@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/channel/spatial_index.h"
@@ -60,10 +59,12 @@ class CityFleetEngine {
                            metasurface::RotatorStack stack =
                                metasurface::prototype_fr4_design());
 
-  /// Builds each device's serving assignment, geometry and pruned scene.
-  /// Every device needs a position (std::invalid_argument otherwise); an
-  /// explicit DeviceSpec::surface overrides nearest-surface serving.
-  /// Deterministic: assignments depend only on the layout and roster.
+  /// Builds each device's serving assignment, geometry and pruned scene
+  /// from partition_fleet (the same partition FleetTracker runs on). Every
+  /// device needs a position (std::invalid_argument otherwise); an explicit
+  /// DeviceSpec::surface overrides nearest-surface serving (std::out_of_range
+  /// when >= n_surfaces). Deterministic: assignments depend only on the
+  /// layout and roster.
   void assign(const std::vector<DeviceSpec>& devices);
 
   [[nodiscard]] const channel::SpatialSurfaceIndex& index() const {
@@ -110,11 +111,11 @@ class CityFleetEngine {
 
  private:
   /// One device's link plant. The scene's surface ids are compact
-  /// post-pruning; scene_to_deployment maps them back to deployment ids.
+  /// post-pruning; externals maps scene surface k + 1 back to its
+  /// deployment id (DevicePlacement::externals).
   struct DeviceState {
-    std::string name;
     std::size_t serving = 0;
-    std::vector<std::size_t> scene_to_deployment;
+    std::vector<std::size_t> externals;
     channel::PropagationScene scene;
   };
 

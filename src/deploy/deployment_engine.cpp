@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/channel/ber.h"
@@ -34,13 +35,16 @@ double plan_key(common::Frequency f) {
   return hz == 0.0 ? 0.0 : hz;
 }
 
-}  // namespace
-
+/// Surface serving the device at roster position `index`: the spec's
+/// explicit surface when set (>= 0), else round-robin by index. The caller
+/// validates explicit indices against n_surfaces.
 std::size_t assigned_surface(int spec_surface, std::size_t index,
                              std::size_t n_surfaces) {
   return spec_surface >= 0 ? static_cast<std::size_t>(spec_surface)
                            : index % n_surfaces;
 }
+
+}  // namespace
 
 channel::SceneSpec device_scene_spec(std::size_t n_surfaces,
                                      const InterferenceModel& interference) {
@@ -51,6 +55,64 @@ channel::SceneSpec device_scene_spec(std::size_t n_surfaces,
   leak.coupling = interference.leakage_coupling;
   spec.leakage.assign(n_surfaces - 1, leak);
   return spec;
+}
+
+std::vector<std::vector<std::size_t>> partition_fleet(
+    const DeploymentConfig& config, const std::vector<DeviceSpec>& devices,
+    const std::function<void(std::size_t, DevicePlacement&&)>& place) {
+  const channel::SurfaceLayout& layout = config.layout;
+  const bool city = !layout.empty();
+  LLAMA_EXPECTS(!city || layout.positions.size() == config.n_surfaces,
+                "a layout places every deployment surface");
+  const channel::SpatialSurfaceIndex index =
+      city ? channel::SpatialSurfaceIndex{layout.positions,
+                                          layout.prune.cell_size_m}
+           : channel::SpatialSurfaceIndex{};
+
+  std::vector<std::vector<std::size_t>> groups(city ? index.cell_count()
+                                                    : devices.size());
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    const DeviceSpec& spec = devices[i];
+    if (city && !spec.position)
+      throw std::invalid_argument{
+          "partition_fleet: device '" + spec.name +
+          "' needs a position (the deployment carries a city layout)"};
+    if (spec.surface >= 0 &&
+        static_cast<std::size_t>(spec.surface) >= config.n_surfaces)
+      throw std::out_of_range{"partition_fleet: device '" + spec.name +
+                              "' names surface " +
+                              std::to_string(spec.surface) + " of " +
+                              std::to_string(config.n_surfaces)};
+
+    DevicePlacement p;
+    p.geometry = config.geometry;
+    if (!city) {
+      p.serving = assigned_surface(spec.surface, i, config.n_surfaces);
+      p.scene = device_scene_spec(config.n_surfaces, config.interference);
+      if (!p.scene.empty())
+        for (std::size_t s = 0; s < config.n_surfaces; ++s)
+          if (s != p.serving) p.externals.push_back(s);
+      groups[i].push_back(i);
+    } else {
+      p.serving = spec.surface >= 0 ? static_cast<std::size_t>(spec.surface)
+                                    : index.nearest(*spec.position);
+      const channel::CitySceneBuild build = channel::build_city_scene_spec(
+          index, layout, p.serving, *spec.position,
+          config.geometry.tx_surface_distance_m);
+      // The AP sits tx_surface_distance behind its transmissive surface; the
+      // device is serving_distance past it on the far side.
+      p.geometry.tx_rx_distance_m =
+          p.geometry.tx_surface_distance_m + build.serving_distance_m;
+      // Copied, not moved: the build reserves a slot per surface, the copy
+      // holds only the kept paths.
+      p.scene = build.spec;
+      for (const channel::PlacedLeakageSpec& placed : p.scene.placed)
+        p.externals.push_back(placed.external_id);
+      groups[static_cast<std::size_t>(index.cell_of(p.serving))].push_back(i);
+    }
+    place(i, std::move(p));
+  }
+  return groups;
 }
 
 SharedResponseEngine::SharedResponseEngine(

@@ -33,6 +33,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -161,13 +162,6 @@ class SharedResponseEngine {
   metasurface::ResponseCache cache_;
 };
 
-/// Surface serving the device at roster position `index`: the spec's
-/// explicit surface when set (>= 0), else round-robin by index. The caller
-/// validates explicit indices against n_surfaces.
-[[nodiscard]] std::size_t assigned_surface(int spec_surface,
-                                           std::size_t index,
-                                           std::size_t n_surfaces);
-
 /// Cross-surface interference model. When leakage is enabled every
 /// non-serving surface of the deployment appears in each device's
 /// propagation scene as a leakage path: the device's per-link SINR then
@@ -230,12 +224,13 @@ struct DeploymentConfig {
   common::PowerDbm rate_noise{-62.0};
   /// Cross-surface leakage (scene topology of every device's link).
   InterferenceModel interference{};
-  /// City-scale surface placement. Empty (the default) keeps the classic
-  /// ring-model paths; non-empty (positions.size() == n_surfaces) routes
-  /// CityFleetEngine and FleetTracker through the spatial index: nearest-
+  /// City-scale surface placement. Empty (the default) is the trivial
+  /// layout: partition_fleet serves round-robin with the ring scene. Non-
+  /// empty (positions.size() == n_surfaces) makes partition_fleet, and so
+  /// CityFleetEngine and FleetTracker, use the spatial index: nearest-
   /// surface serving, per-device geometry from real mount positions,
   /// build-time leakage pruning at layout.prune.cutoff_db, and device
-  /// loops sharded by spatial cell.
+  /// loops sharded by spatial cell. DeploymentEngine ignores it.
   channel::SurfaceLayout layout{};
   /// Per-device Algorithm 1 parameters (paper: N = 2, T = 5).
   control::CoarseToFineSweep::Options sweep{};
@@ -244,6 +239,37 @@ struct DeploymentConfig {
   /// Worker threads for the per-device optimization shard (<= 0 default).
   int threads = 0;
 };
+
+/// One device's slot in a fleet partition: what its link plant is built
+/// from, decided before any plant exists.
+struct DevicePlacement {
+  std::size_t serving = 0;           ///< deployment surface serving it
+  channel::LinkGeometry geometry{};  ///< link geometry of the serving hop
+  /// Non-home scene surfaces: the device_scene_spec ring without a layout,
+  /// the placed, pruned city spec with one.
+  channel::SceneSpec scene{};
+  /// Deployment surface behind scene surface k + 1.
+  std::vector<std::size_t> externals;
+};
+
+/// Partitions `devices` over the deployment for the fleet runtimes
+/// (CityFleetEngine and track::FleetTracker), serially in roster order and
+/// from the config and roster alone, so every runtime built on it is
+/// byte-identical for any worker count. Without a layout (the trivial
+/// layout): explicit or round-robin serving, the template geometry and the
+/// device_scene_spec ring. With a layout: explicit or nearest-surface
+/// serving, and the serving distance and placed scene from
+/// channel::build_city_scene_spec. Each placement goes to place(i, ...) as
+/// soon as it is decided, so a caller never holds a second per-device
+/// table. Returns the shard groups of device indices, ascending within a
+/// group: without a layout every device is its own group; with one, group
+/// c holds the devices whose serving surface lies in spatial cell c (one
+/// group per index cell, possibly empty). Throws std::invalid_argument when
+/// a layout is set and a device has no position, and std::out_of_range
+/// when a device names a surface >= n_surfaces.
+[[nodiscard]] std::vector<std::vector<std::size_t>> partition_fleet(
+    const DeploymentConfig& config, const std::vector<DeviceSpec>& devices,
+    const std::function<void(std::size_t, DevicePlacement&&)>& place);
 
 /// Per-device optimization outcome.
 struct DeviceResult {

@@ -1,5 +1,6 @@
 #include "src/serve/serve_runtime.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -104,6 +105,12 @@ ServeRuntime::Admit ServeRuntime::submit(Request request) {
         "ServeRuntime::submit: call between start() and stop()");
   if (request.device >= n_devices_)
     throw std::out_of_range("ServeRuntime::submit: device id beyond fleet");
+  if (!std::isfinite(request.frequency.in_hz()))
+    throw std::invalid_argument(
+        "ServeRuntime::submit: frequency must be finite");
+  if (!std::isfinite(request.orientation.rad()))
+    throw std::invalid_argument(
+        "ServeRuntime::submit: orientation must be finite");
   ++submitted_;
   const std::size_t owner = topology_.owner_shard(request.device);
   MpmcQueue<Request>& queue = shards_[owner]->queue();

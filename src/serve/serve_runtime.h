@@ -131,8 +131,10 @@ class ServeRuntime {
 
   /// Routes, admits and enqueues one request; stamps submit_ns. Call from
   /// ONE submitter thread at a time (the open-loop generator) between
-  /// start() and stop(). Throws std::logic_error outside that window and
-  /// std::out_of_range for a device id beyond the fleet.
+  /// start() and stop(). Throws std::logic_error outside that window,
+  /// std::out_of_range for a device id beyond the fleet, and
+  /// std::invalid_argument for a non-finite frequency or orientation (the
+  /// request is neither counted nor admitted).
   Admit submit(Request request);
 
   /// Test hook: enqueue onto an explicit shard's queue, bypassing the

@@ -1,15 +1,19 @@
-// Fleet-scale tracking: N independent per-device TrackingLoops sharded
-// across a deployment's M surfaces with common::parallel_for.
+// Fleet-scale tracking: N per-device TrackingLoops over a deployment's M
+// surfaces, run as one tick loop over one device partition.
 //
-// Each device shard stands up its own LlamaSystem (from the deployment's
-// shared link parameters via core::device_system_config), orientation
-// process, and policy instance, so shards share no mutable state; combined
+// deploy::partition_fleet decides every device's serving surface, link
+// geometry and scene, and the shard groups, serially from the config and
+// roster alone — the same partition CityFleetEngine evaluates on. Each
+// device owns its own LlamaSystem (core::device_system_config plus its
+// placement), orientation process and policy instance, so shards share no
+// mutable state. Each tick common::parallel_for runs over the groups and
+// every worker steps only its own devices' plants; after the join two
+// serial hooks run, in order: the health pass (with a fault plan) and the
+// cross-surface leakage snapshot (with leakage on and M > 1). Combined
 // with the loops' deterministic expected-power measurement model, a fleet
 // run is byte-identical for any thread count — the same contract as
-// deploy::DeploymentEngine and the codebook compiler. Devices are assigned
-// to surfaces by deploy::assigned_surface (explicit index or round-robin),
-// and per-surface aggregates expose which surface's supply is saturated by
-// retune airtime.
+// deploy::DeploymentEngine and the codebook compiler. Per-surface
+// aggregates expose which surface's supply is saturated by retune airtime.
 #pragma once
 
 #include <cstddef>
@@ -27,13 +31,14 @@
 
 namespace llama::track {
 
-/// Builds one device's orientation trajectory; called once per run inside
-/// the device's shard. Must be deterministic for the fleet's determinism
-/// contract to hold.
+/// Builds one device's orientation trajectory; called once per device per
+/// run, serially in device order. Must be deterministic for the fleet's
+/// determinism contract to hold.
 using ProcessFactory =
     std::function<std::unique_ptr<channel::OrientationProcess>()>;
 
-/// Builds one device's policy instance; called once per device per run.
+/// Builds one device's policy instance; called once per device per run,
+/// serially in device order.
 using PolicyFactory = std::function<std::unique_ptr<RetunePolicy>()>;
 
 /// One mobile endpoint of a tracked fleet.
@@ -57,9 +62,9 @@ struct FleetConfig {
   TrackingLoop::Options loop{};
   /// Scheduled fault plan driving every shard's fault layer; nullptr runs
   /// the fleet healthy. Shared so scenario builders hand the identical plan
-  /// to the tracker, benches, and serialization round-trips. Mutually
-  /// exclusive with interference.enable_leakage (the lockstep snapshot path
-  /// does not carry the health/reassignment machinery).
+  /// to the tracker, benches, and serialization round-trips. Combines with
+  /// interference.enable_leakage; not with a city layout (rejected at
+  /// construction).
   std::shared_ptr<const fault::FaultPlan> faults;
   /// Health state-machine thresholds for the faulted run.
   fault::HealthMonitor::Options health{};
@@ -108,58 +113,44 @@ struct FleetReport {
 
 class FleetTracker {
  public:
-  /// Throws std::invalid_argument when the deployment has no surfaces or a
-  /// non-positive loop tick.
+  /// Throws std::invalid_argument when the deployment has no surfaces, a
+  /// non-positive loop tick, a layout whose size differs from n_surfaces,
+  /// or a layout combined with a fault plan (moving a city device to
+  /// another mount would need a rebuilt link plant); fault::validate's
+  /// error on an invalid plan.
   explicit FleetTracker(FleetConfig config);
 
   /// Tracks every device for `ticks` steps (sharded over
   /// config.deployment.threads workers; byte-identical for any value).
-  /// Throws std::invalid_argument on a missing process/policy factory or
-  /// ticks <= 0, and std::out_of_range when a spec names a surface index
-  /// >= n_surfaces.
+  /// Throws std::invalid_argument on a missing process/policy factory,
+  /// ticks <= 0, or (with a layout) a device without a position, and
+  /// std::out_of_range when a spec names a surface index >= n_surfaces.
+  ///
+  /// Serving follows deploy::partition_fleet: explicit or round-robin
+  /// without a layout; explicit or nearest-surface with one, where the
+  /// link geometry takes the device's real serving distance and the
+  /// groups are spatial cells.
+  ///
+  /// With a fault plan, the health pass after each tick walks the
+  /// per-surface state machines and reassigns devices away from
+  /// quarantined surfaces (and back, through the probation canary).
   ///
   /// With config.deployment.interference.enable_leakage set (and M > 1)
-  /// the fleet runs in tick lockstep: every device's scene carries the
-  /// other surfaces as leakage paths, frozen per tick at the snapshot of
-  /// what those surfaces aired at the previous tick's end (a surface
-  /// serving several devices airs their mean response). One device's
-  /// retune therefore perturbs its neighbors' measured power on the next
-  /// tick — the paper's scaling question made observable — while the
-  /// one-tick-delayed snapshot keeps the run byte-identical for any
-  /// thread count.
-  ///
-  /// With a city layout (deployment.layout non-empty) the independent
-  /// path serves each device from its nearest placed surface, overrides
-  /// the link geometry with the device's real serving distance, and
-  /// shards the device loop over spatial cells (each worker owns whole
-  /// cells). Cell assignment is a function of the layout only, so the
-  /// byte-identity contract is unchanged. Devices then need positions
-  /// (std::invalid_argument otherwise); combining a layout with leakage
-  /// lockstep or a fault plan is rejected at construction.
+  /// every device's scene carries other surfaces as leakage paths (the
+  /// ring without a layout, the placed, pruned neighbors with one), frozen
+  /// per tick at the snapshot of what those surfaces aired at the previous
+  /// tick's end: a surface airs the mean response of the devices it
+  /// currently serves, and nothing while the fault plan has it offline.
+  /// One device's retune therefore perturbs its neighbors' measured power
+  /// on the next tick — the paper's scaling question made observable —
+  /// while the one-tick-delayed snapshot keeps the run byte-identical for
+  /// any thread count.
   [[nodiscard]] FleetReport run(const std::vector<FleetDeviceSpec>& devices,
                                 const PolicyFactory& make_policy, long ticks);
 
   [[nodiscard]] const FleetConfig& config() const { return config_; }
 
  private:
-  /// Independent per-device shards (no cross-surface coupling).
-  void run_independent(const std::vector<FleetDeviceSpec>& devices,
-                       const PolicyFactory& make_policy, long ticks,
-                       FleetReport& report) const;
-  /// Tick-lockstep shards with per-tick neighbor-surface snapshots.
-  void run_lockstep(const std::vector<FleetDeviceSpec>& devices,
-                    const PolicyFactory& make_policy, long ticks,
-                    FleetReport& report) const;
-  /// Faulted mode: parallel per-tick stepping under the configured fault
-  /// plan, followed by a serial health pass that walks the per-surface
-  /// state machines and reassigns devices away from quarantined surfaces
-  /// (and back, through the probation canary protocol). The health pass is
-  /// serial and evidence is read from each shard's completed tick, so the
-  /// run stays byte-identical for any thread count.
-  void run_faulted(const std::vector<FleetDeviceSpec>& devices,
-                   const PolicyFactory& make_policy, long ticks,
-                   FleetReport& report) const;
-
   FleetConfig config_;
 };
 

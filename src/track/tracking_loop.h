@@ -108,9 +108,9 @@ class TrackingLoop {
   /// Equivalent to begin(ticks) + ticks x step() + finish().
   [[nodiscard]] TrackReport run(long ticks);
 
-  /// Incremental episode API: the fleet's cross-surface leakage mode
-  /// drives every device's loop in tick lockstep, refreshing each scene's
-  /// frozen neighbor-surface responses between ticks. begin() binds the
+  /// Incremental episode API: FleetTracker's tick loop drives every
+  /// device's loop through it, running its serial hooks (health pass,
+  /// neighbor-surface leakage snapshot) between ticks. begin() binds the
   /// policy and resets the episode accumulators; each step() advances
   /// exactly one control tick; finish() seals and returns the report.
   /// begin() throws std::invalid_argument when ticks <= 0; step()/finish()

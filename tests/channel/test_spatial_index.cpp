@@ -131,6 +131,52 @@ TEST(SpatialSurfaceIndex, NearestMatchesBruteForceIncludingFarQueries) {
   }
 }
 
+std::size_t brute_force_nearest(const std::vector<Point2>& positions,
+                                const Point2& p) {
+  std::size_t best = 0;
+  double best_d = std::numeric_limits<double>::infinity();
+  for (std::size_t s = 0; s < positions.size(); ++s) {
+    const double d = distance_m(p, positions[s]);
+    if (d < best_d) {  // strict: ties stay on the lowest id
+      best_d = d;
+      best = s;
+    }
+  }
+  return best;
+}
+
+// A 4 x 4 street grid at 12 m pitch in 24 m cells. Near, far and exactly
+// tied queries all agree with brute force (ties go to the lowest id). The
+// far queries used to walk thousands of empty rings (a query 120 km out
+// took most of a second); the 10,000 km ones would not finish at all
+// without the linear-scan fallback.
+TEST(SpatialSurfaceIndex, NearestMatchesBruteForceOnNearFarAndTiedQueries) {
+  std::vector<Point2> positions;
+  for (int row = 0; row < 4; ++row)
+    for (int col = 0; col < 4; ++col)
+      positions.push_back(Point2{12.0 * col, 12.0 * row});
+  const SpatialSurfaceIndex index{positions, 24.0};
+
+  std::vector<Point2> queries = {
+      {1.0, 2.0},    {13.0, 35.0}, {40.0, -3.0},  // near
+      {6.0, 0.0},    {6.0, 6.0},   {30.0, 18.0},  // tied between mounts
+      {-6.0, 6.0},   {18.0, 42.0},                // tied, just outside
+  };
+  for (const double out : {2.4e3, 24e3, 120e3, 1e7})
+    for (const Point2 dir : {Point2{1.0, 0.0}, Point2{0.0, -1.0},
+                             Point2{-0.6, 0.8}, Point2{0.0, 1.0}}) {
+      queries.push_back(Point2{dir.x_m * out, dir.y_m * out});
+      // On the x = 6 m symmetry line: columns 0 and 1 tie exactly.
+      queries.push_back(Point2{6.0, dir.y_m * out});
+    }
+  for (const Point2& p : queries)
+    EXPECT_EQ(index.nearest(p), brute_force_nearest(positions, p))
+        << "query (" << p.x_m << ", " << p.y_m << ")";
+  EXPECT_EQ(index.nearest({6.0, 6.0}), 0u);
+  EXPECT_EQ(index.nearest({6.0, -120e3}), 0u);
+  EXPECT_EQ(index.nearest({6.0, 120e3}), 12u);
+}
+
 TEST(SpatialSurfaceIndex, PureFunctionOfPositions) {
   common::Rng rng{0xDE7E};
   const std::vector<Point2> positions = random_positions(rng, 48, 120.0);

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/common/constants.h"
@@ -85,6 +88,41 @@ TEST(CodebookLookup, QueriesClampToTheLattice) {
   const BiasPoint high =
       book.lookup(Frequency::ghz(9.9), Angle::degrees(0.0));
   EXPECT_DOUBLE_EQ(high.vx.value(), 2.0);  // last frequency row
+}
+
+// A NaN query used to reach locate(), whose index cast of a NaN is
+// undefined behaviour: lookup(f, NaN) came back as a NaN bias pair and
+// lookup(NaN, o) as an arbitrary cell. Both queries now name the bad
+// argument.
+TEST(CodebookLookup, NonFiniteQueriesAreRejected) {
+  const Codebook book = make_test_book();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Frequency f = Frequency::ghz(2.44);
+  const Angle o = Angle::degrees(10.0);
+  const auto message = [](auto&& query) -> std::string {
+    try {
+      query();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_NE(message([&] { (void)book.lookup(Frequency{bad}, o); })
+                  .find("frequency"),
+              std::string::npos);
+    EXPECT_NE(message([&] { (void)book.lookup(f, Angle::radians(bad)); })
+                  .find("orientation"),
+              std::string::npos);
+    EXPECT_NE(message([&] { (void)book.nearest(Frequency{bad}, o); })
+                  .find("frequency"),
+              std::string::npos);
+    EXPECT_NE(message([&] { (void)book.nearest(f, Angle::radians(bad)); })
+                  .find("orientation"),
+              std::string::npos);
+  }
+  EXPECT_NO_THROW((void)book.lookup(f, o));
 }
 
 TEST(CodebookLookup, OrientationFoldsPiPeriodically) {

@@ -43,10 +43,55 @@ TEST(ResilientPolicy, ValidatesOptionsAndBindOrder) {
   EXPECT_THROW((void)policy.on_tick(system, obs), std::logic_error);
 }
 
-TEST(FleetTracker, RejectsFaultsCombinedWithLeakage) {
-  core::FaultDrillScenario scenario = core::fault_drill_scenario(2, 2);
+// Faults and cross-surface leakage run together: the health pass and the
+// leakage snapshot are ordered serial hooks after each tick's join, so the
+// drill with leakage on is byte-identical for 1, 2 and 8 workers, still
+// evacuates the crashed surface, and hears the leakage.
+TEST(FaultDrill, FaultsWithLeakageAreByteIdenticalForAnyWorkerCount) {
+  core::FaultDrillScenario scenario = core::fault_drill_scenario(6, 2, 60);
   scenario.config.deployment.interference.enable_leakage = true;
-  EXPECT_THROW((track::FleetTracker{scenario.config}), std::invalid_argument);
+  const codebook::Codebook book = drill_codebook(scenario);
+  ResilientPolicy::Options opts;
+  opts.lookup.threads = 1;
+  const track::PolicyFactory factory = [&] {
+    return std::make_unique<ResilientPolicy>(book, opts);
+  };
+
+  track::FleetReport reports[3];
+  const int worker_counts[3] = {1, 2, 8};
+  for (int k = 0; k < 3; ++k) {
+    track::FleetConfig cfg = scenario.config;
+    cfg.deployment.threads = worker_counts[k];
+    reports[k] =
+        track::FleetTracker{cfg}.run(scenario.devices, factory, scenario.ticks);
+  }
+  for (int k = 1; k < 3; ++k) {
+    const track::FleetReport& a = reports[0];
+    const track::FleetReport& b = reports[k];
+    ASSERT_EQ(a.devices.size(), b.devices.size());
+    for (std::size_t i = 0; i < a.devices.size(); ++i) {
+      EXPECT_EQ(a.devices[i].surface, b.devices[i].surface);
+      EXPECT_EQ(a.devices[i].report.mean_power_dbm,
+                b.devices[i].report.mean_power_dbm);
+      EXPECT_EQ(a.devices[i].report.outage_fraction,
+                b.devices[i].report.outage_fraction);
+      EXPECT_EQ(a.devices[i].report.retune_airtime_s,
+                b.devices[i].report.retune_airtime_s);
+    }
+    EXPECT_EQ(a.reassignments, b.reassignments);
+    EXPECT_EQ(a.health_transitions, b.health_transitions);
+    EXPECT_EQ(a.surface_health, b.surface_health);
+  }
+  EXPECT_GT(reports[0].reassignments, 0);
+
+  core::FaultDrillScenario quiet = scenario;
+  quiet.config.deployment.interference.enable_leakage = false;
+  const codebook::Codebook quiet_book = drill_codebook(quiet);
+  const track::FleetReport no_leakage = track::FleetTracker{quiet.config}.run(
+      quiet.devices,
+      [&] { return std::make_unique<ResilientPolicy>(quiet_book, opts); },
+      quiet.ticks);
+  EXPECT_NE(no_leakage.sum_delivered_mbps, reports[0].sum_delivered_mbps);
 }
 
 TEST(FleetTracker, RejectsInvalidFaultPlansAtConstruction) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -240,6 +241,21 @@ TEST(ServeRuntime, LifecycleAndValidationContracts) {
   EXPECT_THROW(runtime.start(), std::logic_error);
   request.device = scenario.devices.size();  // one past the fleet
   EXPECT_THROW((void)runtime.submit(request), std::out_of_range);
+  // A non-finite query is rejected before admission instead of being
+  // answered kOk with a NaN payload.
+  request.device = 0;
+  for (const RequestKind kind :
+       {RequestKind::kCodebookLookup, RequestKind::kRetune}) {
+    request.kind = kind;
+    request.frequency =
+        common::Frequency{std::numeric_limits<double>::quiet_NaN()};
+    EXPECT_THROW((void)runtime.submit(request), std::invalid_argument);
+    request.frequency = common::Frequency::ghz(2.44);
+    request.orientation =
+        common::Angle::radians(std::numeric_limits<double>::infinity());
+    EXPECT_THROW((void)runtime.submit(request), std::invalid_argument);
+    request.orientation = common::Angle::degrees(0.0);
+  }
   const ServeReport report = runtime.stop();
   EXPECT_EQ(report.submitted, 0u);
   EXPECT_THROW(runtime.start(), std::logic_error);  // one-shot

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/codebook/compiler.h"
 #include "src/core/scenarios.h"
+#include "src/fault/fault_plan.h"
 
 namespace llama::track {
 namespace {
@@ -297,9 +300,16 @@ TEST(FleetTracker, CityLayoutValidation) {
     EXPECT_THROW((FleetTracker{bad}), std::invalid_argument);
   }
   {
+    // Moving a city device to another mount would need a rebuilt link
+    // plant, so a fault plan (whose health pass moves devices) is refused.
     FleetConfig bad = scenario.config;
-    bad.deployment.interference.enable_leakage = true;
+    bad.faults = std::make_shared<const fault::FaultPlan>();
     EXPECT_THROW((FleetTracker{bad}), std::invalid_argument);
+  }
+  {
+    FleetConfig leaky = scenario.config;
+    leaky.deployment.interference.enable_leakage = true;
+    EXPECT_NO_THROW((FleetTracker{leaky}));
   }
   FleetTracker tracker{scenario.config};
   auto devices = scenario.devices;
@@ -361,6 +371,157 @@ TEST(FleetTracker, CityLayoutByteIdenticalForAnyThreadCount) {
   }
   EXPECT_DOUBLE_EQ(reports[0].mean_outage_fraction,
                    reports[1].mean_outage_fraction);
+}
+
+std::string power_bytes(const FleetReport& r) {
+  std::string s;
+  for (const DeviceTrackResult& d : r.devices) {
+    s += std::to_string(d.surface) + ":";
+    for (const double v : {d.report.mean_power_dbm, d.report.min_power_dbm,
+                           d.report.outage_fraction,
+                           d.report.mean_delivered_mbps,
+                           d.report.retune_airtime_s})
+      s.append(reinterpret_cast<const char*>(&v), sizeof v);
+  }
+  return s;
+}
+
+TEST(FleetTracker, CityLeakageIsByteIdenticalForAnyWorkerCount) {
+  core::MobileFleetScenario scenario = city_fleet_scenario(10, 6);
+  scenario.config.deployment.interference.enable_leakage = true;
+  std::string bytes[3];
+  const int worker_counts[3] = {1, 2, 8};
+  for (int k = 0; k < 3; ++k) {
+    FleetConfig cfg = scenario.config;
+    cfg.deployment.threads = worker_counts[k];
+    bytes[k] = power_bytes(FleetTracker{cfg}.run(
+        scenario.devices,
+        [] { return std::make_unique<HysteresisResweep>(); }, 20));
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
+  EXPECT_EQ(bytes[0], bytes[2]);
+}
+
+TEST(FleetTracker, CityLeakageChangesWhatDevicesHear) {
+  // Same city fleet, leakage off vs on: the placed neighbors in each
+  // device's scene move its measured power.
+  const core::MobileFleetScenario off = city_fleet_scenario(10, 6);
+  core::MobileFleetScenario on = city_fleet_scenario(10, 6);
+  on.config.deployment.interference.enable_leakage = true;
+  const FleetReport a = FleetTracker{off.config}.run(
+      off.devices, null_like_policy_factory(), 8);
+  const FleetReport b =
+      FleetTracker{on.config}.run(on.devices, null_like_policy_factory(), 8);
+  ASSERT_EQ(a.devices.size(), b.devices.size());
+  bool any_power_differs = false;
+  for (std::size_t i = 0; i < a.devices.size(); ++i) {
+    EXPECT_EQ(a.devices[i].surface, b.devices[i].surface);
+    if (a.devices[i].report.mean_power_dbm !=
+        b.devices[i].report.mean_power_dbm)
+      any_power_differs = true;
+  }
+  EXPECT_TRUE(any_power_differs);
+}
+
+TEST(FleetTracker, OfflineSurfaceIsAbsentFromItsNeighborsScenes) {
+  // Two static devices on two surfaces with leakage on; nobody retunes.
+  // Surface 1 crashes at t = 0.5 s. Device 0 hears surface 1 until the
+  // crash lands in the snapshot (one tick later), and from then on hears
+  // exactly what it hears with no neighbor at all.
+  core::MobileFleetScenario scenario = core::mobile_fleet_scenario(2, 2);
+  scenario.config.deployment.interference.enable_leakage = true;
+  scenario.config.loop.keep_trace = true;
+  for (FleetDeviceSpec& spec : scenario.devices)
+    spec.process = [] {
+      return std::make_unique<channel::StaticMount>(Angle::degrees(70.0));
+    };
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->events.push_back(fault::surface_offline_event(1, 0.5));
+  FleetConfig crashed = scenario.config;
+  crashed.faults = plan;
+  const FleetReport with_crash = FleetTracker{crashed}.run(
+      scenario.devices, null_like_policy_factory(), 12);
+  // Device 0 alone: surface 1 never airs, so its scene slot stays empty.
+  const FleetReport alone = FleetTracker{scenario.config}.run(
+      {scenario.devices[0]}, null_like_policy_factory(), 12);
+
+  const std::vector<TrackTrace>& heard = with_crash.devices[0].report.trace;
+  const std::vector<TrackTrace>& solo = alone.devices[0].report.trace;
+  ASSERT_EQ(heard.size(), 12u);
+  ASSERT_EQ(solo.size(), 12u);
+  EXPECT_EQ(heard[0].power.value(), solo[0].power.value());  // cold start
+  EXPECT_NE(heard[1].power.value(), solo[1].power.value());  // neighbor airs
+  const long first_silent = 6;  // crash at tick 5, snapshot one tick later
+  for (long t = 1; t < first_silent; ++t)
+    EXPECT_NE(heard[t].power.value(), solo[t].power.value()) << "tick " << t;
+  for (long t = first_silent; t < 12; ++t)
+    EXPECT_EQ(heard[t].power.value(), solo[t].power.value()) << "tick " << t;
+}
+
+TEST(FleetTracker, EvacuatedDeviceNeverHearsItsOwnServingSurface) {
+  // Surface 1 is offline from t = 0, so its static, never-retuning device
+  // falls under the outage floor and is evacuated to surface 0. From then
+  // on its one ring slot stands for its offline home, not for surface 0:
+  // a retune of device 0 on surface 0 must leave device 1's trace intact.
+  core::MobileFleetScenario scenario = core::mobile_fleet_scenario(2, 2);
+  scenario.config.deployment.interference.enable_leakage = true;
+  scenario.config.loop.keep_trace = true;
+  scenario.config.loop.power_floor = common::PowerDbm{-29.7};
+  scenario.config.health.probation_delay_s = 100.0;  // no canary trial
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->events.push_back(fault::surface_offline_event(1, 0.0));
+  scenario.config.faults = plan;
+  for (FleetDeviceSpec& spec : scenario.devices)
+    spec.process = [] {
+      return std::make_unique<channel::StaticMount>(Angle::degrees(70.0));
+    };
+
+  // Device 0 programs (27, 3) V at tick 0 and, with `late`, (20, 8) V at
+  // tick 20; device 1 never acts.
+  struct Program final : RetunePolicy {
+    bool active;
+    bool late;
+    Program(bool is_active, bool with_late)
+        : active(is_active), late(with_late) {}
+    [[nodiscard]] const char* name() const override { return "program"; }
+    PolicyAction on_tick(core::LlamaSystem& system,
+                         const TickObservation& obs) override {
+      if (!active || (obs.tick != 0 && !(late && obs.tick == 20))) return {};
+      const common::Voltage vx{obs.tick == 0 ? 27.0 : 20.0};
+      const common::Voltage vy{obs.tick == 0 ? 3.0 : 8.0};
+      system.supply().set_outputs(vx, vy);
+      system.surface().set_bias(vx, vy);
+      PolicyAction action;
+      action.retuned = true;
+      return action;
+    }
+  };
+  const auto run = [&](bool late) {
+    auto counter = std::make_shared<int>(0);
+    const PolicyFactory factory = [counter, late] {
+      const bool first = (*counter)++ == 0;
+      return std::make_unique<Program>(first, first && late);
+    };
+    return FleetTracker{scenario.config}.run(scenario.devices, factory, 30);
+  };
+  const FleetReport quiet = run(false);
+  const FleetReport retuned = run(true);
+
+  for (const FleetReport* r : {&quiet, &retuned}) {
+    EXPECT_EQ(r->reassignments, 1);
+    EXPECT_EQ(r->devices[1].home_surface, 1u);
+    EXPECT_EQ(r->devices[1].surface, 0u);
+  }
+  const std::vector<TrackTrace>& d0_quiet = quiet.devices[0].report.trace;
+  const std::vector<TrackTrace>& d0_retuned = retuned.devices[0].report.trace;
+  EXPECT_NE(d0_quiet[25].power.value(), d0_retuned[25].power.value());
+  const std::vector<TrackTrace>& d1_quiet = quiet.devices[1].report.trace;
+  const std::vector<TrackTrace>& d1_retuned = retuned.devices[1].report.trace;
+  ASSERT_EQ(d1_quiet.size(), 30u);
+  ASSERT_EQ(d1_retuned.size(), 30u);
+  for (long t = 0; t < 30; ++t)
+    EXPECT_EQ(d1_quiet[t].power.value(), d1_retuned[t].power.value())
+        << "tick " << t;
 }
 
 }  // namespace
