@@ -25,7 +25,7 @@ int main() {
     core::LlamaSystem sys{core::transmissive_mismatch_config()};
     control::PowerSupply psu;
     control::CoarseToFineSweep sweep{psu, {}};
-    const auto r = sweep.run_batched(sys.make_grid_probe());
+    const auto r = sweep.run(sys.make_grid_probe());
     table.add_row({1.0, static_cast<double>(r.probes), r.time_cost_s,
                    r.best_power.value()});
   }
@@ -34,7 +34,7 @@ int main() {
     core::LlamaSystem sys{core::transmissive_mismatch_config()};
     control::PowerSupply psu;
     control::RandomSearch search{psu, {}, common::Rng{99}};
-    const auto r = search.run_batched(sys.make_batch_probe());
+    const auto r = search.run(sys.make_batch_probe());
     table.add_row({2.0, static_cast<double>(r.probes), r.time_cost_s,
                    r.best_power.value()});
   }

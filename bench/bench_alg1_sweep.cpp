@@ -20,7 +20,7 @@ int main() {
   core::LlamaSystem ref_sys{core::transmissive_mismatch_config()};
   control::PowerSupply ref_supply;
   control::FullGridSweep full{ref_supply, {}};
-  const auto full_result = full.run_batched(ref_sys.make_grid_probe());
+  const auto full_result = full.run(ref_sys.make_grid_probe());
 
   for (int n : {1, 2, 3}) {
     for (int t : {3, 5, 8}) {
@@ -30,7 +30,7 @@ int main() {
       opt.iterations = n;
       opt.steps_per_axis = t;
       control::CoarseToFineSweep sweep{supply, opt};
-      const auto r = sweep.run_batched(sys.make_grid_probe());
+      const auto r = sweep.run(sys.make_grid_probe());
       table.add_row({static_cast<double>(n), static_cast<double>(t),
                      static_cast<double>(r.probes), r.time_cost_s,
                      r.best_power.value(),

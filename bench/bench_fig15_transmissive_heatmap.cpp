@@ -4,7 +4,7 @@
 // distance. Paper: strong bias dependence; rotation range ~3-45 degrees.
 //
 // The heatmaps run through the batched response engine
-// (FullGridSweep::run_batched + LlamaSystem::make_grid_probe), which
+// (FullGridSweep::run + LlamaSystem::make_grid_probe), which
 // precomputes the bias-independent cascade once per grid. `--json` skips
 // the figures and instead times the full 1 V-step grid through the
 // unbatched and batched paths, emitting the harness's JSON lines plus the
@@ -23,25 +23,28 @@ int run_speedup_comparison() {
   // One full 0-30 V plane at 1 V steps (31x31 = 961 probes), the grid the
   // paper's "~30 s exhaustive scan" walks.
   core::LlamaSystem sys{core::transmissive_mismatch_config()};
-  const auto probe = sys.make_probe(0.01);
   const auto grid_probe = sys.make_grid_probe();
   control::PowerSupply supply;
   control::FullGridSweep sweep{supply, {}};
 
+  // The unbatched baseline: a noisy windowed IQ capture per cell, lifted
+  // cell by cell into the sweep's grid interface.
+  const control::GridPowerProbe noisy_probe =
+      control::grid_of(sys.make_probe(0.01));
   // Same measurement model as the batched engine (expected power, no IQ
   // synthesis) but one pointwise planned cascade per probe — isolates how
   // much of the speedup comes from the SoA batching versus the analytic
   // measurement.
-  const control::PowerProbe analytic_probe = [&sys](common::Voltage vx,
-                                                    common::Voltage vy) {
-    sys.surface().set_bias(vx, vy);
-    return sys.expected_measure_with_surface();
-  };
+  const control::GridPowerProbe analytic_probe =
+      control::grid_of([&sys](common::Voltage vx, common::Voltage vy) {
+        sys.surface().set_bias(vx, vy);
+        return sys.expected_measure_with_surface();
+      });
 
   volatile double sink = 0.0;
   const bench::BenchResult unbatched =
       bench::run_bench("fig15_grid_unbatched", [&] {
-        sink = sink + sweep.run(probe).best_power.value();
+        sink = sink + sweep.run(noisy_probe).best_power.value();
       }, /*min_time_s=*/0.5);
   const bench::BenchResult pointwise =
       bench::run_bench("fig15_grid_pointwise_analytic", [&] {
@@ -49,7 +52,7 @@ int run_speedup_comparison() {
       }, /*min_time_s=*/0.5);
   const bench::BenchResult batched =
       bench::run_bench("fig15_grid_batched", [&] {
-        sink = sink + sweep.run_batched(grid_probe).best_power.value();
+        sink = sink + sweep.run(grid_probe).best_power.value();
       }, /*min_time_s=*/0.5);
 
   const double probes = 31.0 * 31.0;
@@ -84,7 +87,7 @@ int main(int argc, char** argv) {
     control::FullGridSweep::Options opt;
     opt.step = common::Voltage{3.0};
     control::FullGridSweep sweep{supply, opt};
-    (void)sweep.run_batched(sys.make_grid_probe());
+    (void)sweep.run(sys.make_grid_probe());
     common::print_ascii_heatmap(
         std::cout,
         "Fig. 15: received power heatmap (dBm), Tx-Rx = " +

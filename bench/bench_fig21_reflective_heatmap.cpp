@@ -23,7 +23,7 @@ int main() {
     // Batched path: the reflection plan's forward cascade is reused across
     // the whole grid (the reflective mode re-solves only the tunable BFS
     // boards' S11 per cell).
-    const auto result = sweep.run_batched(sys.make_grid_probe());
+    const auto result = sweep.run(sys.make_grid_probe());
     common::print_ascii_heatmap(
         std::cout,
         "Fig. 21: reflective power heatmap (dBm), Tx-surface = " +

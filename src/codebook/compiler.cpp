@@ -248,7 +248,7 @@ Codebook CodebookCompiler::compile(const CompilerOptions& options) const {
                   .value();
 
       // Top-(K+1) cells by power, scan order breaking ties — the same
-      // winner FullGridSweep::run_batched would report.
+      // winner FullGridSweep::run would report.
       std::vector<std::size_t> order(grid_cells);
       std::iota(order.begin(), order.end(), std::size_t{0});
       const std::size_t keep = static_cast<std::size_t>(header.top_k) + 1;

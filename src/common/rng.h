@@ -9,8 +9,10 @@
 // counter-based hash_unit_draw below.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 
 namespace llama::common {
 
@@ -33,9 +35,13 @@ class Rng {
     return std::uniform_real_distribution<double>{lo, hi}(engine_);
   }
 
-  /// Standard normal scaled: mean + stddev * N(0,1).
+  /// Standard normal scaled: mean + stddev * N(0,1). Defined for
+  /// stddev == 0 (returns mean, still consuming the draw); throws
+  /// std::invalid_argument on a negative or non-finite stddev.
   [[nodiscard]] double gaussian(double mean, double stddev) {
-    return std::normal_distribution<double>{mean, stddev}(engine_);
+    if (!(stddev >= 0.0) || !std::isfinite(stddev))
+      throw std::invalid_argument{"Rng::gaussian: stddev must be finite, >= 0"};
+    return std::normal_distribution<double>{}(engine_) * stddev + mean;
   }
 
   /// Uniform integer in [lo, hi] inclusive.

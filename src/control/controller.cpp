@@ -7,7 +7,10 @@ Controller::Controller(metasurface::Metasurface& surface, PowerSupply& supply)
 
 Controller::Controller(metasurface::Metasurface& surface, PowerSupply& supply,
                        Options options)
-    : surface_(surface), supply_(supply), options_(options) {}
+    : surface_(surface),
+      supply_(supply),
+      options_(options),
+      sweep_(supply_, options_.sweep) {}
 
 void Controller::apply(common::Voltage vx, common::Voltage vy) {
   vx_ = vx;
@@ -15,40 +18,33 @@ void Controller::apply(common::Voltage vx, common::Voltage vy) {
   surface_.set_bias(vx, vy);
 }
 
-OptimizationReport Controller::optimize(const PowerProbe& probe) {
-  OptimizationReport report;
-  // Wrap the probe so every measurement also programs the live surface
-  // bias. The baseline must go through the wrapped probe too: the surface
-  // may have been rebiased behind the controller's back (another controller,
-  // a codebook path, a bench poking set_bias), and a baseline taken at that
-  // desynced state misreports the power at (vx_, vy_) — and with it
-  // report.improvement.
-  const PowerProbe wrapped = [&](common::Voltage vx, common::Voltage vy) {
+PowerProbe Controller::programmed(const PowerProbe& probe) {
+  return [this, &probe](common::Voltage vx, common::Voltage vy) {
     surface_.set_bias(vx, vy);
     return probe(vx, vy);
   };
-  report.baseline = wrapped(vx_, vy_);
-  CoarseToFineSweep sweep{supply_, options_.sweep};
-  report.sweep = sweep.run(wrapped);
+}
+
+OptimizationReport Controller::optimize(const PowerProbe& baseline_probe,
+                                        const GridPowerProbe& grid_probe) {
+  OptimizationReport report;
+  // Re-sync the surface to the controller's bias before the baseline: it
+  // may have been rebiased behind the controller's back (another
+  // controller, a codebook path, a bench poking set_bias), and a baseline
+  // read at that desynced state misreports the power at (vx_, vy_) — and
+  // with it report.improvement. The caller's baseline probe may or may not
+  // program the surface itself.
+  surface_.set_bias(vx_, vy_);
+  report.baseline = baseline_probe(vx_, vy_);
+  report.sweep = sweep_.run(grid_probe);
   apply(report.sweep.best_vx, report.sweep.best_vy);
   report.improvement = report.sweep.best_power - report.baseline;
   last_optimum_ = report.sweep.best_power;
   return report;
 }
 
-OptimizationReport Controller::optimize_batched(
-    const PowerProbe& baseline_probe, const GridPowerProbe& grid_probe) {
-  OptimizationReport report;
-  // Re-sync the surface to the controller's bias before the baseline (see
-  // optimize()); the caller's baseline probe may or may not program it.
-  surface_.set_bias(vx_, vy_);
-  report.baseline = baseline_probe(vx_, vy_);
-  CoarseToFineSweep sweep{supply_, options_.sweep};
-  report.sweep = sweep.run_batched(grid_probe);
-  apply(report.sweep.best_vx, report.sweep.best_vy);
-  report.improvement = report.sweep.best_power - report.baseline;
-  last_optimum_ = report.sweep.best_power;
-  return report;
+OptimizationReport Controller::optimize(const PowerProbe& probe) {
+  return optimize(programmed(probe), grid_of(programmed(probe)));
 }
 
 bool Controller::link_healthy(common::PowerDbm report) const {
@@ -58,16 +54,15 @@ bool Controller::link_healthy(common::PowerDbm report) const {
 }
 
 std::optional<OptimizationReport> Controller::on_power_report(
-    common::PowerDbm report, const PowerProbe& probe) {
-  if (link_healthy(report)) return std::nullopt;
-  return optimize(probe);
-}
-
-std::optional<OptimizationReport> Controller::on_power_report_batched(
     common::PowerDbm report, const PowerProbe& baseline_probe,
     const GridPowerProbe& grid_probe) {
   if (link_healthy(report)) return std::nullopt;
-  return optimize_batched(baseline_probe, grid_probe);
+  return optimize(baseline_probe, grid_probe);
+}
+
+std::optional<OptimizationReport> Controller::on_power_report(
+    common::PowerDbm report, const PowerProbe& probe) {
+  return on_power_report(report, programmed(probe), grid_of(programmed(probe)));
 }
 
 }  // namespace llama::control

@@ -3,7 +3,9 @@
 //
 // Flow per optimization round: the receiver reports signal power, the
 // controller runs the coarse-to-fine sweep (Algorithm 1) through the power
-// supply, and leaves the surface programmed at the winning bias pair.
+// supply, and leaves the surface programmed at the winning bias pair. The
+// round has one body over a grid probe; the pointwise overloads program the
+// surface before every probe and lift it with grid_of.
 #pragma once
 
 #include <optional>
@@ -31,34 +33,35 @@ class Controller {
     common::GainDb reoptimize_threshold{3.0};
   };
 
-  /// Uses default (paper) options.
+  /// Uses default (paper) options. Both constructors build the one
+  /// CoarseToFineSweep every round runs, so bad sweep options throw
+  /// std::invalid_argument here rather than at the first round.
   Controller(metasurface::Metasurface& surface, PowerSupply& supply);
   Controller(metasurface::Metasurface& surface, PowerSupply& supply,
              Options options);
 
-  /// One full optimization round: measures the baseline at the current
-  /// bias, sweeps, and programs the optimum.
-  OptimizationReport optimize(const PowerProbe& probe);
+  /// One full optimization round: re-syncs the surface to the controller's
+  /// bias, reads the baseline there through `baseline_probe`, runs Algorithm
+  /// 1 with each iteration's bias window measured in one `grid_probe` call,
+  /// and programs the optimum.
+  OptimizationReport optimize(const PowerProbe& baseline_probe,
+                              const GridPowerProbe& grid_probe);
 
-  /// Batched optimization round: the coarse-to-fine sweep evaluates each
-  /// iteration's bias window through one grid-probe call. `baseline_probe`
-  /// supplies the pre-optimization power reading at the current bias.
-  OptimizationReport optimize_batched(const PowerProbe& baseline_probe,
-                                      const GridPowerProbe& grid_probe);
+  /// The same round over a pointwise probe: the surface is programmed
+  /// before every probe (for plants that read it), and the sweep lifts the
+  /// probe with grid_of.
+  OptimizationReport optimize(const PowerProbe& probe);
 
   /// Tracking step: consumes one power report; triggers a re-optimization
   /// when the link has degraded past the hysteresis threshold (e.g. the
   /// wearable's arm swung). Returns the report when a sweep ran.
   std::optional<OptimizationReport> on_power_report(
-      common::PowerDbm report, const PowerProbe& probe);
-
-  /// Batched variant of on_power_report: same hysteresis decision, but a
-  /// triggered re-sweep runs optimize_batched (identical result and supply
-  /// accounting on a deterministic plant, far fewer per-probe cascades) —
-  /// the tracking runtime's fast path.
-  std::optional<OptimizationReport> on_power_report_batched(
       common::PowerDbm report, const PowerProbe& baseline_probe,
       const GridPowerProbe& grid_probe);
+
+  /// on_power_report over a pointwise probe, lifted as in optimize(probe).
+  std::optional<OptimizationReport> on_power_report(common::PowerDbm report,
+                                                    const PowerProbe& probe);
 
   [[nodiscard]] common::Voltage current_vx() const { return vx_; }
   [[nodiscard]] common::Voltage current_vy() const { return vy_; }
@@ -68,6 +71,8 @@ class Controller {
 
  private:
   void apply(common::Voltage vx, common::Voltage vy);
+  /// `probe` with the surface programmed at (vx, vy) before each read.
+  [[nodiscard]] PowerProbe programmed(const PowerProbe& probe);
   /// Hysteresis predicate: true while the report sits within the threshold
   /// of the last optimum (a missing optimum is never healthy).
   [[nodiscard]] bool link_healthy(common::PowerDbm report) const;
@@ -75,6 +80,7 @@ class Controller {
   metasurface::Metasurface& surface_;
   PowerSupply& supply_;
   Options options_;
+  CoarseToFineSweep sweep_;
   common::Voltage vx_{0.0};
   common::Voltage vy_{0.0};
   std::optional<common::PowerDbm> last_optimum_;

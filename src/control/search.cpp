@@ -2,11 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "src/common/math_utils.h"
 
 namespace llama::control {
+
+BatchPowerProbe batch_of(PowerProbe probe) {
+  return [probe = std::move(probe)](const BiasPairList& points) {
+    std::vector<common::PowerDbm> powers;
+    powers.reserve(points.size());
+    for (const auto& [vx, vy] : points) powers.push_back(probe(vx, vy));
+    return powers;
+  };
+}
 
 namespace {
 
@@ -22,38 +33,15 @@ RandomSearch::RandomSearch(PowerSupply& supply, Options options,
     : supply_(supply), options_(options), rng_(rng) {
   if (options_.probes < 1)
     throw std::invalid_argument{"RandomSearch: need at least one probe"};
+  validate_search_range("RandomSearch", options_.v_min, options_.v_max,
+                        supply_);
 }
 
-SweepResult RandomSearch::run(const PowerProbe& probe) {
+SweepResult RandomSearch::run(const BatchPowerProbe& probe) {
   const double t0 = supply_.elapsed_s();
-  SweepResult result;
-  result.best_power = common::PowerDbm{-1e9};
-  for (int i = 0; i < options_.probes; ++i) {
-    const common::Voltage vx{
-        rng_.uniform(options_.v_min.value(), options_.v_max.value())};
-    const common::Voltage vy{
-        rng_.uniform(options_.v_min.value(), options_.v_max.value())};
-    supply_.set_outputs(vx, vy);
-    const common::PowerDbm p = probe(vx, vy);
-    ++result.probes;
-    if (p > result.best_power) {
-      result.best_power = p;
-      result.best_vx = vx;
-      result.best_vy = vy;
-    }
-  }
-  result.time_cost_s = supply_.elapsed_s() - t0;
-  return result;
-}
-
-SweepResult RandomSearch::run_batched(const BatchPowerProbe& probe) {
-  const double t0 = supply_.elapsed_s();
-  SweepResult result;
-  result.best_power = common::PowerDbm{-1e9};
   BiasPairList points;
   points.reserve(static_cast<std::size_t>(options_.probes));
   for (int i = 0; i < options_.probes; ++i) {
-    // Same draw order as run(): vx then vy per probe.
     const common::Voltage vx{
         rng_.uniform(options_.v_min.value(), options_.v_max.value())};
     const common::Voltage vy{
@@ -61,15 +49,22 @@ SweepResult RandomSearch::run_batched(const BatchPowerProbe& probe) {
     points.emplace_back(vx, vy);
   }
   const std::vector<common::PowerDbm> powers = probe(points);
+  SweepResult result;
+  // The first draw seeds the winner (as in CoarseToFineSweep): a batch whose
+  // every reading is arbitrarily low, or NaN, still reports a probed bias.
+  result.best_vx = points.front().first;
+  result.best_vy = points.front().second;
+  common::PowerDbm best{-std::numeric_limits<double>::infinity()};
   for (std::size_t i = 0; i < points.size(); ++i) {
     supply_.set_outputs(points[i].first, points[i].second);
     ++result.probes;
-    if (powers[i] > result.best_power) {
-      result.best_power = powers[i];
+    if (powers[i] > best) {
+      best = powers[i];
       result.best_vx = points[i].first;
       result.best_vy = points[i].second;
     }
   }
+  result.best_power = best;
   result.time_cost_s = supply_.elapsed_s() - t0;
   return result;
 }
@@ -80,6 +75,7 @@ HillClimb::HillClimb(PowerSupply& supply, Options options)
     throw std::invalid_argument{"HillClimb: need at least one probe"};
   if (options_.initial_step.value() <= 0.0)
     throw std::invalid_argument{"HillClimb: step must be positive"};
+  validate_search_range("HillClimb", options_.v_min, options_.v_max, supply_);
 }
 
 SweepResult HillClimb::run(const PowerProbe& probe) {
@@ -139,6 +135,10 @@ SimulatedAnnealing::SimulatedAnnealing(PowerSupply& supply, Options options,
     throw std::invalid_argument{"SimulatedAnnealing: need >= 1 probe"};
   if (options_.cooling <= 0.0 || options_.cooling >= 1.0)
     throw std::invalid_argument{"SimulatedAnnealing: cooling must be (0,1)"};
+  if (!(options_.step.value() > 0.0) || !std::isfinite(options_.step.value()))
+    throw std::invalid_argument{"SimulatedAnnealing: step must be positive"};
+  validate_search_range("SimulatedAnnealing", options_.v_min, options_.v_max,
+                        supply_);
 }
 
 SweepResult SimulatedAnnealing::run(const PowerProbe& probe) {

@@ -1,7 +1,9 @@
 // Alternative bias-search strategies, used as ablation baselines against
-// the paper's Algorithm 1 (sweep.h). All share the PowerProbe plant
-// interface and cost one supply switch per probe, so search quality and
-// wall-clock cost are directly comparable.
+// the paper's Algorithm 1 (sweep.h). Every search costs one supply switch
+// per probe, so search quality and wall-clock cost are directly comparable.
+// Random search knows its probe locations up front and runs over a batch
+// probe; hill climbing and annealing choose each probe from the last one
+// and run over a pointwise PowerProbe.
 #pragma once
 
 #include <utility>
@@ -22,6 +24,10 @@ using BiasPairList = std::vector<std::pair<common::Voltage, common::Voltage>>;
 using BatchPowerProbe =
     std::function<std::vector<common::PowerDbm>(const BiasPairList& points)>;
 
+/// Lifts a pointwise probe into the batch interface (points measured in
+/// list order).
+[[nodiscard]] BatchPowerProbe batch_of(PowerProbe probe);
+
 /// Uniform random probing with a fixed budget — the no-structure baseline.
 class RandomSearch {
  public:
@@ -31,14 +37,14 @@ class RandomSearch {
     common::Voltage v_max{30.0};
   };
 
+  /// Throws std::invalid_argument on a zero budget or a bad range
+  /// (validate_search_range).
   RandomSearch(PowerSupply& supply, Options options, common::Rng rng);
 
-  [[nodiscard]] SweepResult run(const PowerProbe& probe);
-
-  /// Batched variant: all probe locations are drawn first (same RNG
-  /// sequence as run()), evaluated in one batch, and reduced in the same
-  /// order, so on a deterministic plant both paths return identical results.
-  [[nodiscard]] SweepResult run_batched(const BatchPowerProbe& probe);
+  /// Draws every probe location first (vx then vy per probe), measures them
+  /// in one batch, and reduces in draw order. The first draw seeds the
+  /// winner at -inf, so the result is always a probed bias.
+  [[nodiscard]] SweepResult run(const BatchPowerProbe& probe);
 
  private:
   PowerSupply& supply_;
@@ -61,6 +67,8 @@ class HillClimb {
     common::Voltage start_y{15.0};
   };
 
+  /// Throws std::invalid_argument on a zero budget, a non-positive step or
+  /// a bad range (validate_search_range).
   HillClimb(PowerSupply& supply, Options options);
 
   [[nodiscard]] SweepResult run(const PowerProbe& probe);
@@ -82,6 +90,8 @@ class SimulatedAnnealing {
     common::Voltage v_max{30.0};
   };
 
+  /// Throws std::invalid_argument on a zero budget, cooling outside (0, 1),
+  /// a non-positive step or a bad range (validate_search_range).
   SimulatedAnnealing(PowerSupply& supply, Options options, common::Rng rng);
 
   [[nodiscard]] SweepResult run(const PowerProbe& probe);

@@ -7,7 +7,9 @@
 // versus ~30 s for an exhaustive 1 V-step scan of the 0-30 V plane.
 //
 // The sweep is decoupled from the plant through a measurement callback so it
-// drives the simulated link, the USRP model, or unit-test stubs alike.
+// drives the simulated link, the USRP model, or unit-test stubs alike. Each
+// search has one body over a grid (or batch) probe; a pointwise probe is
+// lifted into that interface with grid_of (or batch_of, search.h).
 #pragma once
 
 #include <functional>
@@ -33,6 +35,17 @@ using PowerGrid = std::vector<std::vector<common::PowerDbm>>;
 /// rows, which is what makes heatmap sweeps run at memory speed.
 using GridPowerProbe = std::function<PowerGrid(
     const std::vector<double>& vxs, const std::vector<double>& vys)>;
+
+/// Lifts a pointwise probe into the grid interface. Cells are measured
+/// vx-outer, vy-inner — Algorithm 1's scan order — so a stateful probe (a
+/// noisy receiver drawing from an RNG) sees its draws in that order.
+[[nodiscard]] GridPowerProbe grid_of(PowerProbe probe);
+
+/// Throws std::invalid_argument (prefixed by `who`) unless [v_min, v_max]
+/// is a finite, non-empty range inside [0, supply.max_voltage()]. Every
+/// search checks its range at construction, before any probe runs.
+void validate_search_range(const char* who, common::Voltage v_min,
+                           common::Voltage v_max, const PowerSupply& supply);
 
 /// Outcome of a sweep.
 struct SweepResult {
@@ -66,18 +79,14 @@ class CoarseToFineSweep {
     SupplyRetryOptions retry{};
   };
 
+  /// Throws std::invalid_argument on fewer than 1 iteration or 2 steps per
+  /// axis, or a bad range (validate_search_range).
   CoarseToFineSweep(PowerSupply& supply, Options options);
 
-  /// Runs the search; probes the plant via `probe` after programming each
-  /// voltage pair on the supply.
-  [[nodiscard]] SweepResult run(const PowerProbe& probe);
-
-  /// Batched variant of run(): each iteration's TxT window is evaluated in
-  /// one grid-probe call instead of T^2 sequential probes. Supply switching
-  /// is accounted per cell exactly as in run(), and the scan/zoom order
-  /// matches run() cell-for-cell, so on a deterministic plant both paths
-  /// return identical results.
-  [[nodiscard]] SweepResult run_batched(const GridPowerProbe& probe);
+  /// Runs the search: each iteration's TxT window is measured in one
+  /// grid-probe call, then reduced vx-outer, vy-inner with one supply
+  /// switch charged per cell; of equal powers, the earlier cell wins.
+  [[nodiscard]] SweepResult run(const GridPowerProbe& probe);
 
   /// Full trace of measurements from the last run().
   [[nodiscard]] const std::vector<SweepSample>& trace() const {
@@ -102,14 +111,13 @@ class FullGridSweep {
     SupplyRetryOptions retry{};
   };
 
+  /// Throws std::invalid_argument on a non-positive step or a bad range
+  /// (validate_search_range).
   FullGridSweep(PowerSupply& supply, Options options);
 
-  [[nodiscard]] SweepResult run(const PowerProbe& probe);
-
-  /// Batched variant of run(): the whole (Vx, Vy) plane is evaluated in one
-  /// grid-probe call. Scan order, tie-breaking and supply accounting match
-  /// run() exactly.
-  [[nodiscard]] SweepResult run_batched(const GridPowerProbe& probe);
+  /// Measures the whole (Vx, Vy) plane in one grid-probe call, then reduces
+  /// it vy-outer, vx-inner with one supply switch charged per cell.
+  [[nodiscard]] SweepResult run(const GridPowerProbe& probe);
 
   /// Row-major grid of measured powers from the last run (rows = Vy values,
   /// columns = Vx values), plus the axis labels.

@@ -156,7 +156,7 @@ control::OptimizationReport LlamaSystem::optimize_link_batched() {
         surface_.set_bias(vx, vy);
         return expected_measure_with_surface();
       };
-  return controller_.optimize_batched(baseline, make_grid_probe());
+  return controller_.optimize(baseline, make_grid_probe());
 }
 
 std::uint64_t LlamaSystem::codebook_config_hash() const {

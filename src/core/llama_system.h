@@ -99,14 +99,17 @@ class LlamaSystem {
   /// — the point-probe analogue of the batched engine's measurement model.
   [[nodiscard]] common::PowerDbm expected_measure_with_surface();
 
-  /// Runs the controller's optimization round (Algorithm 1) and leaves the
-  /// surface at the winning bias.
+  /// One Algorithm-1 round (Controller::optimize) under the noisy
+  /// measurement model: every probe is one windowed IQ capture through the
+  /// receiver, with its sampling noise and interference bursts drawn from
+  /// the system's RNG streams. Leaves the surface at the winning bias.
   control::OptimizationReport optimize_link();
 
-  /// Batched optimization round: same Algorithm 1 schedule, but each
-  /// iteration's bias window is evaluated through the batched response
-  /// engine (expected powers, no per-probe IQ synthesis). Leaves the
-  /// surface at the winning bias.
+  /// The same Algorithm-1 round under the expected-power measurement model:
+  /// the baseline is expected_measure_with_surface() and each iteration's
+  /// bias window is one make_grid_probe() call through the batched response
+  /// engine (no IQ synthesis, no RNG state consumed). Leaves the surface at
+  /// the winning bias.
   control::OptimizationReport optimize_link_batched();
 
   /// Codebook fast path: replaces the Algorithm-1 sweep with one O(1)
@@ -220,7 +223,7 @@ class LlamaSystem {
   /// and reported as the receiver's expected power — no sampling jitter, so
   /// the grid is a pure function of the bias plane and byte-identical for
   /// any thread count. Leaves the surface biased at the grid's last cell,
-  /// mirroring the serial sweep's end state.
+  /// as a cell-by-cell scan would.
   [[nodiscard]] control::GridPowerProbe make_grid_probe(int threads = 0);
 
   /// Batched probe over an arbitrary bias-pair list (same measurement model

@@ -274,7 +274,11 @@ DeploymentEngine::DeploymentEngine(DeploymentConfig config,
                                    metasurface::RotatorStack stack)
     : config_(std::move(config)),
       engine_(std::move(stack), config_.cache),
-      receiver_(config_.receiver, common::Rng{0}) {}
+      receiver_(config_.receiver, common::Rng{0}) {
+  // Reject bad Algorithm-1 options now, not at the first run().
+  control::PowerSupply supply;
+  (void)control::CoarseToFineSweep{supply, config_.sweep};
+}
 
 void DeploymentEngine::validate(const std::vector<DeviceSpec>& devices) const {
   if (config_.n_surfaces == 0)
@@ -339,7 +343,7 @@ DeploymentReport DeploymentEngine::run(
     out.surface = assigned_surface(spec.surface, i, config_.n_surfaces);
     LLAMA_ENSURES(out.surface < config_.n_surfaces,
                   "assigned surfaces lie inside the deployment");
-    out.sweep = sweep.run_batched(probe);
+    out.sweep = sweep.run(probe);
     out.optimized_power = out.sweep.best_power;
     out.unoptimized_power = receiver_.expected_measure(
         scene.received_power_without_surface(config_.tx_power, f));

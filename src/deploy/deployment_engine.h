@@ -325,6 +325,8 @@ struct DeploymentReport {
 /// M surfaces, N devices, one shared response engine.
 class DeploymentEngine {
  public:
+  /// Throws std::invalid_argument when `config.sweep` is not a valid
+  /// CoarseToFineSweep configuration.
   explicit DeploymentEngine(DeploymentConfig config,
                             metasurface::RotatorStack stack =
                                 metasurface::prototype_fr4_design());

@@ -124,8 +124,8 @@ std::optional<common::PowerDbm> ResilientPolicy::retune(
           return system.expected_measure_with_surface();
         };
         const control::OptimizationReport report =
-            controller_->optimize_batched(
-                baseline, system.make_grid_probe(options_.threads));
+            controller_->optimize(baseline,
+                                  system.make_grid_probe(options_.threads));
         action.retuned = true;
         action.probes = report.sweep.probes;
         return report.sweep.best_power;

@@ -36,12 +36,8 @@ PolicyAction HysteresisResweep::on_tick(core::LlamaSystem& system,
   // on an old one. Skip the tick and decide on the next real sample.
   if (!obs.measurement_valid) return {};
   const std::optional<control::OptimizationReport> report =
-      options_.batched
-          ? controller_->on_power_report_batched(
-                obs.measured, expected_probe(system),
-                system.make_grid_probe(options_.threads))
-          : controller_->on_power_report(obs.measured,
-                                         expected_probe(system));
+      controller_->on_power_report(obs.measured, expected_probe(system),
+                                   system.make_grid_probe(options_.threads));
   PolicyAction action;
   if (report.has_value()) {
     action.retuned = true;

@@ -88,7 +88,8 @@ class RetunePolicy {
 
 /// The paper's tracking strategy: consume the per-tick power report through
 /// control::Controller's hysteresis and run a full Algorithm-1 re-sweep when
-/// the link has faded past the threshold.
+/// the link has faded past the threshold. Re-sweeps measure through the
+/// bound system's grid probe (expected power, no RNG state).
 class HysteresisResweep final : public RetunePolicy {
  public:
   struct Options {
@@ -97,10 +98,7 @@ class HysteresisResweep final : public RetunePolicy {
     /// the same ones its own optimize_link paths run with — so a fleet's
     /// deployment.sweep settings reach the policy unduplicated.
     std::optional<control::Controller::Options> controller;
-    /// Evaluate re-sweeps through the batched grid probe (identical result
-    /// and airtime accounting, far fewer per-probe cascades).
-    bool batched = true;
-    /// Worker threads for the batched grid (1 keeps fleet shards from
+    /// Worker threads for the re-sweep grid (1 keeps fleet shards from
     /// nesting parallelism; results are byte-identical for any value).
     int threads = 1;
   };

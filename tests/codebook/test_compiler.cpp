@@ -51,7 +51,7 @@ TEST(CodebookCompiler, CellsMatchTheFullGridSweepInstrument) {
         supply, {.v_min = opts.v_min, .v_max = opts.v_max,
                  .step = opts.v_step}};
     const control::SweepResult expected =
-        sweep.run_batched(sys.make_grid_probe());
+        sweep.run(sys.make_grid_probe());
 
     const CellEntry& cell = book.cell(0, oi);
     EXPECT_DOUBLE_EQ(cell.best.vx.value(), expected.best_vx.value())

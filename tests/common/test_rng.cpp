@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "src/common/math_utils.h"
@@ -40,6 +46,43 @@ TEST(Rng, GaussianMomentsApproximatelyCorrect) {
   for (int i = 0; i < 20000; ++i) xs.push_back(rng.gaussian(2.0, 3.0));
   EXPECT_NEAR(mean(xs), 2.0, 0.1);
   EXPECT_NEAR(stddev(xs), 3.0, 0.1);
+}
+
+TEST(Rng, GaussianMatchesScaledStdNormalDistribution) {
+  // gaussian() scales one standard-normal draw; for any positive stddev
+  // that is bit for bit what std::normal_distribution{mean, stddev} yields,
+  // and it leaves the engine in the same state, so no stream moves.
+  const double params[][2] = {{0.0, 1.0}, {2.0, 3.0}, {-62.0, 0.37}};
+  for (const std::uint64_t seed : {1ULL, 0x11A02021ULL}) {
+    Rng rng{seed};
+    std::mt19937_64 reference{seed};
+    for (int i = 0; i < 3000; ++i) {
+      const auto& [mu, sigma] = params[i % 3];
+      const double got = rng.gaussian(mu, sigma);
+      const double want =
+          std::normal_distribution<double>{mu, sigma}(reference);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "seed " << seed << " draw " << i;
+    }
+    EXPECT_TRUE(rng.engine() == reference);
+  }
+}
+
+TEST(Rng, GaussianAtZeroSigmaReturnsTheMeanAndConsumesADraw) {
+  Rng rng{3};
+  Rng twin{3};
+  EXPECT_EQ(rng.gaussian(-4.5, 0.0), -4.5);
+  (void)twin.gaussian(0.0, 1.0);
+  EXPECT_EQ(rng.uniform(0.0, 1.0), twin.uniform(0.0, 1.0));
+}
+
+TEST(Rng, GaussianRejectsNegativeOrNonFiniteSigma) {
+  Rng rng{5};
+  for (const double sigma : {-1.0, std::nan(""),
+                             std::numeric_limits<double>::infinity()})
+    EXPECT_THROW((void)rng.gaussian(0.0, sigma), std::invalid_argument)
+        << "sigma " << sigma;
 }
 
 TEST(Rng, RayleighIsPositiveWithExpectedMean) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "src/metasurface/designs.h"
 
@@ -145,8 +146,8 @@ TEST(Controller, BaselineIsMeasuredAtTheControllersBias) {
 }
 
 TEST(Controller, BatchedBaselineIsMeasuredAtTheControllersBias) {
-  // Same regression through optimize_batched, with a baseline probe that —
-  // unlike LlamaSystem's — does not program the surface itself.
+  // Same regression through the grid-probe round, with a baseline probe
+  // that — unlike LlamaSystem's — does not program the surface itself.
   Fixture f;
   Controller controller{f.surface, f.supply};
   (void)controller.optimize(f.probe());
@@ -163,7 +164,7 @@ TEST(Controller, BatchedBaselineIsMeasuredAtTheControllersBias) {
     return grid;
   };
   const OptimizationReport r =
-      controller.optimize_batched(f.probe(), grid_probe);
+      controller.optimize(f.probe(), grid_probe);
   EXPECT_NEAR(r.baseline.value(), f.plant.power_at(cvx, cvy).value(), 1e-9);
 }
 
@@ -197,25 +198,16 @@ TEST(Controller, HysteresisRearmsOnAWorseOptimumAfterRetune) {
   EXPECT_TRUE(degraded.has_value());
 }
 
-TEST(Controller, BatchedPowerReportMatchesSerialDecision) {
+TEST(Controller, RejectsBadSweepOptionsAtConstruction) {
+  // The controller builds its one sweep up front, so a bad schedule fails
+  // here instead of at the first optimization round.
   Fixture f;
-  Controller controller{f.surface, f.supply};
-  const GridPowerProbe grid_probe = [&](const std::vector<double>& vxs,
-                                        const std::vector<double>& vys) {
-    PowerGrid grid(vys.size(), std::vector<PowerDbm>(vxs.size()));
-    for (std::size_t iy = 0; iy < vys.size(); ++iy)
-      for (std::size_t ix = 0; ix < vxs.size(); ++ix)
-        grid[iy][ix] = f.plant.power_at(vxs[ix], vys[iy]);
-    return grid;
-  };
-  // No history: the first report triggers the initial optimization.
-  const auto first = controller.on_power_report_batched(
-      PowerDbm{-60.0}, f.probe(), grid_probe);
-  ASSERT_TRUE(first.has_value());
-  // Healthy link: no sweep.
-  const auto healthy = controller.on_power_report_batched(
-      f.plant.measure(), f.probe(), grid_probe);
-  EXPECT_FALSE(healthy.has_value());
+  Controller::Options opt;
+  opt.sweep.iterations = 0;
+  EXPECT_THROW((Controller{f.surface, f.supply, opt}), std::invalid_argument);
+  opt.sweep.iterations = 2;
+  opt.sweep.v_max = Voltage{40.0};  // beyond the 30 V supply
+  EXPECT_THROW((Controller{f.surface, f.supply, opt}), std::invalid_argument);
 }
 
 TEST(Controller, SweepTimeBudgetIsOneSecond) {

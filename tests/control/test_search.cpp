@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <ostream>
+#include <vector>
 
 namespace llama::control {
 namespace {
@@ -21,7 +24,7 @@ PowerProbe gaussian_peak(double vx_star, double vy_star, double width = 8.0) {
 TEST(RandomSearch, FindsDecentPointWithBudget) {
   PowerSupply psu;
   RandomSearch search{psu, {}, common::Rng{1}};
-  const SweepResult r = search.run(gaussian_peak(20.0, 10.0));
+  const SweepResult r = search.run(batch_of(gaussian_peak(20.0, 10.0)));
   EXPECT_EQ(r.probes, 50);
   EXPECT_GT(r.best_power.value(), -34.0);  // within a few dB of the peak
 }
@@ -32,7 +35,7 @@ TEST(RandomSearch, RespectsVoltageRange) {
   opt.v_min = Voltage{5.0};
   opt.v_max = Voltage{10.0};
   RandomSearch search{psu, opt, common::Rng{2}};
-  const SweepResult r = search.run(gaussian_peak(0.0, 0.0));
+  const SweepResult r = search.run(batch_of(gaussian_peak(0.0, 0.0)));
   EXPECT_GE(r.best_vx.value(), 5.0);
   EXPECT_LE(r.best_vx.value(), 10.0);
 }
@@ -42,8 +45,31 @@ TEST(RandomSearch, DeterministicPerSeed) {
   PowerSupply psu2;
   RandomSearch a{psu1, {}, common::Rng{7}};
   RandomSearch b{psu2, {}, common::Rng{7}};
-  EXPECT_DOUBLE_EQ(a.run(gaussian_peak(12.0, 8.0)).best_power.value(),
-                   b.run(gaussian_peak(12.0, 8.0)).best_power.value());
+  EXPECT_DOUBLE_EQ(
+      a.run(batch_of(gaussian_peak(12.0, 8.0))).best_power.value(),
+      b.run(batch_of(gaussian_peak(12.0, 8.0))).best_power.value());
+}
+
+TEST(RandomSearch, AllFloorProbesStillReportAProbedBias) {
+  // Regression: the winner started from a -1e9 dBm sentinel at the default
+  // (0, 0) V, so a batch reading at/below the sentinel (or all NaN) reported
+  // a bias that was never drawn, at a fabricated power.
+  for (const double floor : {-2e9, std::nan("")}) {
+    PowerSupply psu;
+    RandomSearch search{psu, {}, common::Rng{5}};
+    BiasPairList drawn;
+    const SweepResult r = search.run([&](const BiasPairList& points) {
+      drawn = points;
+      return std::vector<PowerDbm>(points.size(), PowerDbm{floor});
+    });
+    ASSERT_FALSE(drawn.empty());
+    EXPECT_EQ(r.best_vx.value(), drawn.front().first.value());
+    EXPECT_EQ(r.best_vy.value(), drawn.front().second.value());
+    const double expected =
+        std::isnan(floor) ? -std::numeric_limits<double>::infinity() : floor;
+    EXPECT_EQ(r.best_power.value(), expected);
+    EXPECT_EQ(r.probes, 50);
+  }
 }
 
 TEST(RandomSearch, RejectsZeroBudget) {
@@ -105,6 +131,98 @@ TEST(SimulatedAnnealing, RejectsBadCooling) {
                std::invalid_argument);
 }
 
+TEST(SimulatedAnnealing, RejectsNonPositiveStep) {
+  // A zero step used to reach Rng::gaussian(0, 0) on every proposal.
+  PowerSupply psu;
+  for (const double step : {0.0, -1.0, std::nan("")}) {
+    SimulatedAnnealing::Options bad;
+    bad.step = Voltage{step};
+    int calls = 0;
+    EXPECT_THROW(
+        (void)SimulatedAnnealing(psu, bad, common::Rng{1})
+            .run([&](Voltage, Voltage) {
+              ++calls;
+              return PowerDbm{-30.0};
+            }),
+        std::invalid_argument)
+        << "step " << step;
+    EXPECT_EQ(calls, 0);
+  }
+}
+
+/// One bad [v_min, v_max] range; every search must reject it at
+/// construction, before its probe is ever called.
+struct BadRange {
+  const char* name;
+  double v_min;
+  double v_max;
+};
+
+void PrintTo(const BadRange& r, std::ostream* os) { *os << r.name; }
+
+class SearchRange : public ::testing::TestWithParam<BadRange> {};
+
+TEST_P(SearchRange, EverySearchRejectsItBeforeProbing) {
+  const Voltage lo{GetParam().v_min};
+  const Voltage hi{GetParam().v_max};
+  PowerSupply psu;  // 0-30 V
+  int calls = 0;
+  const PowerProbe probe = [&](Voltage, Voltage) {
+    ++calls;
+    return PowerDbm{-30.0};
+  };
+  EXPECT_THROW(
+      {
+        CoarseToFineSweep::Options o;
+        o.v_min = lo;
+        o.v_max = hi;
+        (void)CoarseToFineSweep(psu, o).run(grid_of(probe));
+      },
+      std::invalid_argument);
+  EXPECT_THROW(
+      {
+        FullGridSweep::Options o;
+        o.v_min = lo;
+        o.v_max = hi;
+        (void)FullGridSweep(psu, o).run(grid_of(probe));
+      },
+      std::invalid_argument);
+  EXPECT_THROW(
+      {
+        RandomSearch::Options o;
+        o.v_min = lo;
+        o.v_max = hi;
+        (void)RandomSearch(psu, o, common::Rng{1}).run(batch_of(probe));
+      },
+      std::invalid_argument);
+  EXPECT_THROW(
+      {
+        HillClimb::Options o;
+        o.v_min = lo;
+        o.v_max = hi;
+        (void)HillClimb(psu, o).run(probe);
+      },
+      std::invalid_argument);
+  EXPECT_THROW(
+      {
+        SimulatedAnnealing::Options o;
+        o.v_min = lo;
+        o.v_max = hi;
+        (void)SimulatedAnnealing(psu, o, common::Rng{1}).run(probe);
+      },
+      std::invalid_argument);
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(psu.switch_count(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BadRanges, SearchRange,
+    ::testing::Values(
+        BadRange{"NonFinite", 0.0, std::numeric_limits<double>::infinity()},
+        BadRange{"NaN", std::nan(""), 30.0}, BadRange{"Empty", 10.0, 10.0},
+        BadRange{"Inverted", 20.0, 10.0}, BadRange{"BelowZero", -6.0, 30.0},
+        BadRange{"AboveSupply", 0.0, 40.0}));
+
 /// Property: on the smooth single-peak landscape, the structured searches
 /// with the paper's 50-probe budget beat random search on average across
 /// peak placements.
@@ -121,8 +239,8 @@ TEST_P(SearchComparison, StructuredBeatsOrMatchesRandom) {
   CoarseToFineSweep alg1{psu1, {}};
   RandomSearch random{psu2, {}, common::Rng{static_cast<std::uint64_t>(
                                     px * 100 + py)}};
-  const double alg1_best = alg1.run(probe).best_power.value();
-  const double random_best = random.run(probe).best_power.value();
+  const double alg1_best = alg1.run(grid_of(probe)).best_power.value();
+  const double random_best = random.run(batch_of(probe)).best_power.value();
   // Allow a few dB of tolerance: random occasionally gets lucky, and
   // Algorithm 1's refinement window only extends BELOW the coarse winner
   // (paper: Vr_{n+1} = [v - Vs, v]), so a peak just above a coarse grid

@@ -19,11 +19,20 @@ PowerProbe gaussian_peak(double vx_star, double vy_star, double width = 8.0) {
   };
 }
 
+GridPowerProbe peak_grid(double vx_star, double vy_star, double width = 8.0) {
+  return grid_of(gaussian_peak(vx_star, vy_star, width));
+}
+
+/// A plane whose every cell reads `dbm`.
+GridPowerProbe flat_grid(double dbm) {
+  return grid_of([dbm](Voltage, Voltage) { return PowerDbm{dbm}; });
+}
+
 TEST(CoarseToFineSweep, FindsThePeakWithPaperParameters) {
   PowerSupply psu;
   // Paper: N = 2, T = 5.
   CoarseToFineSweep sweep{psu, {}};
-  const SweepResult r = sweep.run(gaussian_peak(18.0, 6.0));
+  const SweepResult r = sweep.run(peak_grid(18.0, 6.0));
   EXPECT_NEAR(r.best_vx.value(), 18.0, 3.0);
   EXPECT_NEAR(r.best_vy.value(), 6.0, 3.0);
 }
@@ -34,7 +43,7 @@ TEST(CoarseToFineSweep, ProbeCountIsNTimesTSquared) {
   opt.iterations = 2;
   opt.steps_per_axis = 5;
   CoarseToFineSweep sweep{psu, opt};
-  const SweepResult r = sweep.run(gaussian_peak(15.0, 15.0));
+  const SweepResult r = sweep.run(peak_grid(15.0, 15.0));
   EXPECT_EQ(r.probes, 2 * 5 * 5);
 }
 
@@ -45,7 +54,7 @@ TEST(CoarseToFineSweep, TimeCostMatchesPaperFormula) {
   opt.iterations = 2;
   opt.steps_per_axis = 5;
   CoarseToFineSweep sweep{psu, opt};
-  const SweepResult r = sweep.run(gaussian_peak(10.0, 20.0));
+  const SweepResult r = sweep.run(peak_grid(10.0, 20.0));
   EXPECT_NEAR(r.time_cost_s, 0.02 * 2 * 5 * 5, 1e-9);
 }
 
@@ -54,8 +63,8 @@ TEST(CoarseToFineSweep, MuchFasterThanFullScan) {
   PowerSupply psu_slow;
   CoarseToFineSweep fast{psu_fast, {}};
   FullGridSweep slow{psu_slow, {}};
-  (void)fast.run(gaussian_peak(12.0, 3.0));
-  (void)slow.run(gaussian_peak(12.0, 3.0));
+  (void)fast.run(peak_grid(12.0, 3.0));
+  (void)slow.run(peak_grid(12.0, 3.0));
   EXPECT_LT(psu_fast.elapsed_s() * 10.0, psu_slow.elapsed_s());
 }
 
@@ -67,16 +76,16 @@ TEST(CoarseToFineSweep, SecondIterationRefines) {
   CoarseToFineSweep::Options two;
   two.iterations = 2;
   const SweepResult r1 = CoarseToFineSweep{psu1, one}.run(
-      gaussian_peak(17.3, 7.7, /*width=*/4.0));
+      peak_grid(17.3, 7.7, /*width=*/4.0));
   const SweepResult r2 = CoarseToFineSweep{psu2, two}.run(
-      gaussian_peak(17.3, 7.7, /*width=*/4.0));
+      peak_grid(17.3, 7.7, /*width=*/4.0));
   EXPECT_GE(r2.best_power.value(), r1.best_power.value() - 1e-12);
 }
 
 TEST(CoarseToFineSweep, TraceRecordsEveryProbe) {
   PowerSupply psu;
   CoarseToFineSweep sweep{psu, {}};
-  const SweepResult r = sweep.run(gaussian_peak(5.0, 5.0));
+  const SweepResult r = sweep.run(peak_grid(5.0, 5.0));
   EXPECT_EQ(static_cast<int>(sweep.trace().size()), r.probes);
 }
 
@@ -87,7 +96,7 @@ TEST(CoarseToFineSweep, StaysWithinVoltageRange) {
   opt.v_max = Voltage{30.0};
   CoarseToFineSweep sweep{psu, opt};
   // Peak outside the allowed window: the sweep must still stay inside.
-  (void)sweep.run(gaussian_peak(40.0, -5.0));
+  (void)sweep.run(peak_grid(40.0, -5.0));
   for (const SweepSample& s : sweep.trace()) {
     EXPECT_GE(s.vx.value(), 0.0);
     EXPECT_LE(s.vx.value(), 30.0);
@@ -103,8 +112,7 @@ TEST(CoarseToFineSweep, AllFloorProbesStillReportAProbedBias) {
   // unprobed bias pair and the sentinel power.
   PowerSupply psu;
   CoarseToFineSweep sweep{psu, {}};
-  const SweepResult r =
-      sweep.run([](Voltage, Voltage) { return PowerDbm{-2e9}; });
+  const SweepResult r = sweep.run(flat_grid(-2e9));
   EXPECT_DOUBLE_EQ(r.best_power.value(), -2e9);
   bool probed = false;
   for (const SweepSample& s : sweep.trace())
@@ -116,24 +124,6 @@ TEST(CoarseToFineSweep, AllFloorProbesStillReportAProbedBias) {
   // The corner (v_min, v_min) is not a grid point with default options.
   EXPECT_NE(r.best_vx.value(), 0.0);
   EXPECT_NE(r.best_vy.value(), 0.0);
-}
-
-TEST(CoarseToFineSweep, BatchedAllFloorProbesMatchSerial) {
-  PowerSupply psu_s;
-  PowerSupply psu_b;
-  CoarseToFineSweep serial{psu_s, {}};
-  CoarseToFineSweep batched{psu_b, {}};
-  const SweepResult rs =
-      serial.run([](Voltage, Voltage) { return PowerDbm{-2e9}; });
-  const SweepResult rb =
-      batched.run_batched([](const std::vector<double>& vxs,
-                             const std::vector<double>& vys) {
-        return PowerGrid(vys.size(),
-                         std::vector<PowerDbm>(vxs.size(), PowerDbm{-2e9}));
-      });
-  EXPECT_DOUBLE_EQ(rs.best_vx.value(), rb.best_vx.value());
-  EXPECT_DOUBLE_EQ(rs.best_vy.value(), rb.best_vy.value());
-  EXPECT_DOUBLE_EQ(rs.best_power.value(), rb.best_power.value());
 }
 
 TEST(CoarseToFineSweep, RejectsBadOptions) {
@@ -156,7 +146,7 @@ TEST(FullGridSweep, GridDimensionsMatchRangeAndStep) {
   opt.v_max = Voltage{30.0};
   opt.step = Voltage{5.0};
   FullGridSweep sweep{psu, opt};
-  (void)sweep.run(gaussian_peak(10.0, 10.0));
+  (void)sweep.run(peak_grid(10.0, 10.0));
   EXPECT_EQ(sweep.vx_values().size(), 7u);
   EXPECT_EQ(sweep.vy_values().size(), 7u);
   EXPECT_EQ(sweep.grid_dbm().size(), 7u);
@@ -168,7 +158,7 @@ TEST(FullGridSweep, FindsExactGridOptimum) {
   FullGridSweep::Options opt;
   opt.step = Voltage{1.0};
   FullGridSweep sweep{psu, opt};
-  const SweepResult r = sweep.run(gaussian_peak(22.0, 9.0));
+  const SweepResult r = sweep.run(peak_grid(22.0, 9.0));
   EXPECT_DOUBLE_EQ(r.best_vx.value(), 22.0);
   EXPECT_DOUBLE_EQ(r.best_vy.value(), 9.0);
 }
@@ -179,7 +169,7 @@ TEST(FullGridSweep, GridValuesMatchProbe) {
   opt.step = Voltage{10.0};
   FullGridSweep sweep{psu, opt};
   const PowerProbe probe = gaussian_peak(0.0, 0.0);
-  (void)sweep.run(probe);
+  (void)sweep.run(grid_of(probe));
   EXPECT_NEAR(sweep.grid_dbm()[0][0],
               probe(Voltage{0.0}, Voltage{0.0}).value(), 1e-12);
   EXPECT_NEAR(sweep.grid_dbm()[3][3],
@@ -196,7 +186,7 @@ TEST(FullGridSweep, AxesAreExactIndexLattice) {
   opt.v_max = Voltage{5.0};
   opt.step = Voltage{0.1};
   FullGridSweep sweep{psu, opt};
-  (void)sweep.run(gaussian_peak(2.0, 2.0));
+  (void)sweep.run(peak_grid(2.0, 2.0));
   ASSERT_EQ(sweep.vx_values().size(), 51u);
   for (std::size_t i = 0; i < sweep.vx_values().size(); ++i) {
     // Exact equality, not EXPECT_DOUBLE_EQ: the accumulation drift is a few
@@ -215,8 +205,7 @@ TEST(FullGridSweep, AllFloorProbesStillReportAProbedBias) {
   opt.v_max = Voltage{20.0};
   opt.step = Voltage{5.0};
   FullGridSweep sweep{psu, opt};
-  const SweepResult r =
-      sweep.run([](Voltage, Voltage) { return PowerDbm{-2e9}; });
+  const SweepResult r = sweep.run(flat_grid(-2e9));
   // Pre-fix this reported the SweepResult default (0, 0) V — outside the
   // sweep window entirely — with the -1e9 sentinel as the power.
   EXPECT_DOUBLE_EQ(r.best_vx.value(), 10.0);
@@ -240,7 +229,7 @@ TEST_P(SweepConvergence, LandsNearPeak) {
   const auto [px, py] = GetParam();
   PowerSupply psu;
   CoarseToFineSweep sweep{psu, {}};
-  const SweepResult r = sweep.run(gaussian_peak(px, py));
+  const SweepResult r = sweep.run(peak_grid(px, py));
   // Coarse step is 6 V; the refinement narrows further unless the peak sits
   // at the range edge.
   EXPECT_NEAR(r.best_vx.value(), px, 6.0);

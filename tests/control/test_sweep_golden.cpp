@@ -162,7 +162,8 @@ TEST(SweepGolden, OptimizeLinkReportsAndRngPosition) {
                  g.time_cost_s);
     expect_bits(r.baseline.value(), g.baseline, "baseline");
     expect_bits(r.improvement.value(), g.improvement, "improvement");
-    const double follow_up = sys.measure_with_surface().value();
+    expect_bits(sys.measure_with_surface().value(), g.follow_up_dbm,
+                "follow-up measure_with_surface");
     // The Algorithm-1 trace of the same round, replayed on a twin system
     // exactly as Controller::optimize drives it: one baseline read at the
     // controller's initial (0, 0) V, then the sweep through the
@@ -171,12 +172,11 @@ TEST(SweepGolden, OptimizeLinkReportsAndRngPosition) {
     const PowerProbe probe = twin.make_probe();
     (void)probe(Voltage{0.0}, Voltage{0.0});
     CoarseToFineSweep sweep{twin.supply(), twin.config().controller.sweep};
-    const SweepResult replay = sweep.run(probe);
+    const SweepResult replay = sweep.run(grid_of(probe));
     expect_sweep(replay, g.best_vx, g.best_vy, g.best_power, g.probes,
                  g.time_cost_s);
     EXPECT_EQ(trace_hash(sweep.trace()), g.trace)
         << "got 0x" << std::hex << trace_hash(sweep.trace());
-    expect_bits(follow_up, g.follow_up_dbm, "follow-up measure_with_surface");
   }
 }
 
@@ -185,16 +185,17 @@ TEST(SweepGolden, FullGridSweepOnSyntheticPlant) {
   FullGridSweep::Options opt;
   opt.step = Voltage{1.5};
   FullGridSweep sweep{psu, opt};
-  const SweepResult r = sweep.run(gaussian_peak(18.3, 6.7));
+  const SweepResult r = sweep.run(grid_of(gaussian_peak(18.3, 6.7)));
   expect_sweep(r, 0x1.2p+4, 0x1.8p+2, -0x1.e173333333333p+4, 441,
                0x1.1a3d70a3d706cp+3);
-  EXPECT_EQ(grid_hash(sweep), 0x38cda1c728cfee8eULL) << "got 0x" << std::hex << grid_hash(sweep);
+  EXPECT_EQ(grid_hash(sweep), 0x38cda1c728cfee8eULL)
+      << "got 0x" << std::hex << grid_hash(sweep);
 }
 
 TEST(SweepGolden, CoarseToFineSweepOnSyntheticPlant) {
   PowerSupply psu;
   CoarseToFineSweep sweep{psu, {}};
-  const SweepResult r = sweep.run(gaussian_peak(22.5, 9.0));
+  const SweepResult r = sweep.run(grid_of(gaussian_peak(22.5, 9.0)));
   expect_sweep(r, 0x1.6cccccccccccdp+4, 0x1.8p+2, -0x1.f6b999999999ap+4, 50,
                0x1.0000000000002p+0);
   EXPECT_EQ(trace_hash(sweep.trace()), 0x147fdec53cf9c073ULL)
@@ -204,7 +205,7 @@ TEST(SweepGolden, CoarseToFineSweepOnSyntheticPlant) {
 TEST(SweepGolden, RandomSearchOnSyntheticPlant) {
   PowerSupply psu;
   RandomSearch search{psu, {}, common::Rng{42}};
-  const SweepResult r = search.run(gaussian_peak(11.0, 27.0));
+  const SweepResult r = search.run(batch_of(gaussian_peak(11.0, 27.0)));
   expect_sweep(r, 0x1.7bb0997e7a14bp+3, 0x1.bf887cdce5bbfp+4,
                -0x1.e43a66e1891f9p+4, 50, 0x1.0000000000002p+0);
 }
@@ -238,16 +239,12 @@ TEST(SweepGolden, HysteresisResweepOnASwingingWearable) {
   swing.mean = common::Angle::degrees(45.0);
   swing.amplitude = common::Angle::degrees(35.0);
   swing.swing_rate_hz = 0.5;
-  for (const bool batched : {true, false}) {
-    core::LlamaSystem system{cfg};
-    channel::ArmSwing arm{swing};
-    track::HysteresisResweep::Options opts;
-    opts.batched = batched;
-    track::HysteresisResweep policy{opts};
-    track::TrackingLoop loop{system, arm, policy};
-    const std::uint64_t h = track_hash(loop.run(25));
-    EXPECT_EQ(h, 0xd69ff7aa902be9a6ULL) << "batched " << batched << ": got 0x" << std::hex << h;
-  }
+  core::LlamaSystem system{cfg};
+  channel::ArmSwing arm{swing};
+  track::HysteresisResweep policy;
+  track::TrackingLoop loop{system, arm, policy};
+  const std::uint64_t h = track_hash(loop.run(25));
+  EXPECT_EQ(h, 0xd69ff7aa902be9a6ULL) << "got 0x" << std::hex << h;
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "src/core/scenarios.h"
 
@@ -67,6 +68,17 @@ TEST(LlamaSystem, SweepCostsOneSecondOfSupplyTime) {
   const auto report = sys.optimize_link();
   EXPECT_NEAR(report.sweep.time_cost_s, 1.0, 1e-9);
   EXPECT_EQ(report.sweep.probes, 50);  // N * T^2 = 2 * 25
+}
+
+TEST(LlamaSystem, RejectsBadSweepOptionsAtConstruction) {
+  // The controller's sweep is built with the system, so a bad schedule
+  // fails here rather than at the first optimize_link*().
+  SystemConfig cfg = transmissive_mismatch_config();
+  cfg.controller.sweep.iterations = 0;
+  EXPECT_THROW(LlamaSystem{cfg}, std::invalid_argument);
+  cfg.controller.sweep.iterations = 2;
+  cfg.controller.sweep.v_max = Voltage{40.0};  // beyond the 30 V supply
+  EXPECT_THROW(LlamaSystem{cfg}, std::invalid_argument);
 }
 
 TEST(LlamaSystem, FrequencyReconfigurationShiftsPower) {

@@ -448,5 +448,17 @@ TEST(DeploymentEngine, RejectsBadConfigurations) {
   EXPECT_THROW((void)engine.run(scenario.devices), std::out_of_range);
 }
 
+TEST(DeploymentEngine, RejectsBadSweepOptionsAtConstruction) {
+  // A bad Algorithm-1 schedule fails when the engine is built, not inside
+  // the first run().
+  deploy::DeploymentConfig config =
+      core::dense_deployment_scenario(2, 1).config;
+  config.sweep.steps_per_axis = 1;
+  EXPECT_THROW(DeploymentEngine{config}, std::invalid_argument);
+  config.sweep.steps_per_axis = 5;
+  config.sweep.v_min = Voltage{-6.0};
+  EXPECT_THROW(DeploymentEngine{config}, std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace llama::deploy

@@ -47,31 +47,6 @@ TEST(HysteresisResweep, TunesOnceOnAStaticDeviceThenHolds) {
   EXPECT_DOUBLE_EQ(report.trace.back().duty, 1.0);
 }
 
-TEST(HysteresisResweep, SerialAndBatchedPathsAgree) {
-  channel::ArmSwing::Params swing;
-  swing.mean = Angle::degrees(45.0);
-  swing.amplitude = Angle::degrees(35.0);
-  swing.swing_rate_hz = 0.5;
-
-  TrackReport reports[2];
-  for (int k = 0; k < 2; ++k) {
-    core::LlamaSystem system{test_config()};
-    channel::ArmSwing arm{swing};
-    HysteresisResweep::Options opts;
-    opts.batched = k == 1;
-    HysteresisResweep policy{opts};
-    TrackingLoop loop{system, arm, policy};
-    reports[k] = loop.run(25);
-  }
-  ASSERT_EQ(reports[0].trace.size(), reports[1].trace.size());
-  EXPECT_EQ(reports[0].retune_count, reports[1].retune_count);
-  EXPECT_DOUBLE_EQ(reports[0].retune_airtime_s, reports[1].retune_airtime_s);
-  for (std::size_t i = 0; i < reports[0].trace.size(); ++i)
-    EXPECT_DOUBLE_EQ(reports[0].trace[i].power.value(),
-                     reports[1].trace[i].power.value())
-        << "tick " << i;
-}
-
 TEST(PeriodicCodebook, RetunesOnTheTimer) {
   const core::SystemConfig cfg = test_config();
   const codebook::Codebook book = compile_book(cfg);
