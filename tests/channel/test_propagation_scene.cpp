@@ -14,6 +14,7 @@
 
 #include "src/channel/link_budget.h"
 #include "src/metasurface/metasurface.h"
+#include "tests/channel/single_link_pins.h"
 
 namespace llama::channel {
 namespace {
@@ -74,25 +75,37 @@ std::vector<Environment> environment_cases() {
 }
 
 TEST(PropagationSceneGolden, UnbatchedMatchesLinkBudgetEverywhere) {
-  for (const ModeCase& mc : mode_cases()) {
+  const std::vector<ModeCase> modes = mode_cases();
+  const std::vector<Environment> envs = environment_cases();
+  for (std::size_t m = 0; m < modes.size(); ++m) {
+    const ModeCase& mc = modes[m];
     const std::vector<em::JonesMatrix> samples =
         response_samples(mc.geometry.mode);
-    for (const Environment& env : environment_cases()) {
+    ASSERT_EQ(samples.size(), 25u);
+    for (std::size_t e = 0; e < envs.size(); ++e) {
+      const double* pinned = pins::kRx90Dbm[m][e];
       const Antenna tx = Antenna::directional_10dbi(Angle::degrees(0.0));
       const Antenna rx = Antenna::directional_10dbi(Angle::degrees(90.0));
-      const LinkBudget link{tx, rx, mc.geometry, env};
+      const LinkBudget link{tx, rx, mc.geometry, envs[e]};
       const PropagationScene scene =
-          PropagationScene::single_link(tx, rx, mc.geometry, env);
+          PropagationScene::single_link(tx, rx, mc.geometry, envs[e]);
 
-      EXPECT_NEAR(
-          scene.received_power_without_surface(kTx, kF0).value(),
-          link.received_power_without_surface(kTx, kF0).value(), kTol)
+      EXPECT_NEAR(scene.received_power_without_surface(kTx, kF0).value(),
+                  pinned[0], kTol)
           << mc.name;
-      for (const em::JonesMatrix& r : samples)
-        EXPECT_NEAR(scene.received_power_with_response(kTx, kF0, r).value(),
-                    link.received_power_with_response(kTx, kF0, r).value(),
-                    kTol)
-            << mc.name;
+      EXPECT_NEAR(link.received_power_without_surface(kTx, kF0).value(),
+                  pinned[0], kTol)
+          << mc.name;
+      for (std::size_t k = 0; k < samples.size(); ++k) {
+        EXPECT_NEAR(
+            scene.received_power_with_response(kTx, kF0, samples[k]).value(),
+            pinned[k + 1], kTol)
+            << mc.name << " sample " << k;
+        EXPECT_NEAR(
+            link.received_power_with_response(kTx, kF0, samples[k]).value(),
+            pinned[k + 1], kTol)
+            << mc.name << " sample " << k;
+      }
     }
   }
 }
@@ -100,45 +113,68 @@ TEST(PropagationSceneGolden, UnbatchedMatchesLinkBudgetEverywhere) {
 TEST(PropagationSceneGolden, MetasurfaceOverloadMatchesLinkBudget) {
   metasurface::Metasurface surface = metasurface::Metasurface::llama_prototype();
   surface.set_bias(Voltage{5.0}, Voltage{25.0});
-  for (const ModeCase& mc : mode_cases()) {
+  const std::vector<ModeCase> modes = mode_cases();
+  for (std::size_t m = 0; m < modes.size(); ++m) {
+    const ModeCase& mc = modes[m];
+    const double* pinned = pins::kFieldAt5v25v[m];
+    const em::JonesVector expect{em::Complex{pinned[0], pinned[1]},
+                                 em::Complex{pinned[2], pinned[3]}};
     const Antenna tx = Antenna::directional_10dbi(Angle::degrees(0.0));
     const Antenna rx = Antenna::directional_10dbi(Angle::degrees(90.0));
     const Environment env = Environment::absorber_chamber();
     const LinkBudget link{tx, rx, mc.geometry, env};
     const PropagationScene scene =
         PropagationScene::single_link(tx, rx, mc.geometry, env);
-    const em::JonesVector expect =
-        link.field_at_receiver(kTx, kF0, &surface);
-    const em::JonesVector got = scene.field_at_receiver(kTx, kF0, &surface);
-    EXPECT_NEAR(std::abs(got.ex() - expect.ex()), 0.0, kTol) << mc.name;
-    EXPECT_NEAR(std::abs(got.ey() - expect.ey()), 0.0, kTol) << mc.name;
-    EXPECT_NEAR(
-        scene.field_at_receiver(kTx, kF0, nullptr).power(),
-        link.field_at_receiver(kTx, kF0, nullptr).power(), kTol)
+    for (const em::JonesVector& got :
+         {scene.field_at_receiver(kTx, kF0, &surface),
+          link.field_at_receiver(kTx, kF0, &surface)}) {
+      EXPECT_NEAR(std::abs(got.ex() - expect.ex()), 0.0, kTol) << mc.name;
+      EXPECT_NEAR(std::abs(got.ey() - expect.ey()), 0.0, kTol) << mc.name;
+    }
+    EXPECT_NEAR(scene.field_at_receiver(kTx, kF0, nullptr).power(),
+                pinned[4], kTol)
+        << mc.name;
+    EXPECT_NEAR(link.field_at_receiver(kTx, kF0, nullptr).power(), pinned[4],
+                kTol)
         << mc.name;
   }
 }
 
 TEST(PropagationSceneGolden, BatchedFrozenSweepMatchesLinkBudget) {
   // The frozen-contribution sweep — the deployment/codebook hot path —
-  // must agree with the legacy per-cell field model exactly.
-  for (const ModeCase& mc : mode_cases()) {
+  // must agree with the pinned per-cell field model exactly.
+  const std::vector<ModeCase> modes = mode_cases();
+  const std::vector<Environment> envs = environment_cases();
+  for (std::size_t m = 0; m < modes.size(); ++m) {
+    const ModeCase& mc = modes[m];
     const std::vector<em::JonesMatrix> samples =
         response_samples(mc.geometry.mode);
-    for (const Environment& env : environment_cases()) {
+    ASSERT_EQ(samples.size(), 25u);
+    for (std::size_t e = 0; e < envs.size(); ++e) {
+      const double* pinned = pins::kRx35Dbm[m][e];
       const Antenna tx = Antenna::directional_10dbi(Angle::degrees(0.0));
       const Antenna rx = Antenna::directional_10dbi(Angle::degrees(35.0));
-      const LinkBudget link{tx, rx, mc.geometry, env};
+      const LinkBudget link{tx, rx, mc.geometry, envs[e]};
       const PropagationScene scene =
-          PropagationScene::single_link(tx, rx, mc.geometry, env);
+          PropagationScene::single_link(tx, rx, mc.geometry, envs[e]);
       const PropagationScene::FrozenEval frozen = scene.freeze_except(
           PropagationScene::kHomeSurface, kTx, kF0,
           PropagationScene::ResponseView{});
-      for (const em::JonesMatrix& r : samples)
-        EXPECT_NEAR(scene.received_power_swept(frozen, r).value(),
-                    link.received_power_with_response(kTx, kF0, r).value(),
-                    kTol)
-            << mc.name;
+      EXPECT_NEAR(scene.received_power_without_surface(kTx, kF0).value(),
+                  pinned[0], kTol)
+          << mc.name;
+      EXPECT_NEAR(link.received_power_without_surface(kTx, kF0).value(),
+                  pinned[0], kTol)
+          << mc.name;
+      for (std::size_t k = 0; k < samples.size(); ++k) {
+        EXPECT_NEAR(scene.received_power_swept(frozen, samples[k]).value(),
+                    pinned[k + 1], kTol)
+            << mc.name << " sample " << k;
+        EXPECT_NEAR(
+            link.received_power_with_response(kTx, kF0, samples[k]).value(),
+            pinned[k + 1], kTol)
+            << mc.name << " sample " << k;
+      }
     }
   }
 }
@@ -220,9 +256,14 @@ TEST(PropagationSceneRevision, MidRunSetGeometryInvalidatesStalePlans) {
   const PropagationScene::FrozenEval fresh = scene.freeze_except(
       PropagationScene::kHomeSurface, kTx, kF0,
       PropagationScene::ResponseView{});
-  for (const em::JonesMatrix& r : samples)
-    EXPECT_NEAR(scene.received_power_swept(fresh, r).value(),
-                link.received_power_with_response(kTx, kF0, r).value(), kTol);
+  ASSERT_EQ(samples.size(), 25u);
+  for (std::size_t k = 0; k < samples.size(); ++k) {
+    EXPECT_NEAR(scene.received_power_swept(fresh, samples[k]).value(),
+                pins::kTransmissive80cmDbm[k], kTol);
+    EXPECT_NEAR(
+        link.received_power_with_response(kTx, kF0, samples[k]).value(),
+        pins::kTransmissive80cmDbm[k], kTol);
+  }
 }
 
 TEST(PropagationSceneRevision, AntennaMutationsAlsoInvalidate) {

@@ -98,7 +98,20 @@ TEST(InterferenceFloor, RisingFloorDegradesThroughputMonotonically) {
 }
 
 TEST(InterferenceFloor, SceneAndLegacyPathsDegradeIdentically) {
-  for (double floor : {-90.0, -65.0, -50.0}) {
+  // Per floor: the legacy single-link chain's expected measure [dBm] and
+  // delivered throughput [Mb/s], pinned as hexfloats.
+  struct Pinned {
+    double floor_dbm;
+    double power_dbm;
+    double delivered_mbps;
+  };
+  const Pinned pinned[] = {
+      {-90.0, -0x1.1e5226f884ccap+5, 0x1p+0},
+      {-65.0, -0x1.1e4785f55c5e6p+5, 0x1.ffffffffeed54p-1},
+      {-50.0, -0x1.1d070a9bbfe7fp+5, 0x1.ffe4fa2f28c29p-1},
+  };
+  for (const Pinned& pin : pinned) {
+    const double floor = pin.floor_dbm;
     const core::SystemConfig cfg = floor_config(PowerDbm{floor});
     core::LlamaSystem system{cfg};
     channel::StaticMount mount{Angle::degrees(50.0)};
@@ -119,15 +132,18 @@ TEST(InterferenceFloor, SceneAndLegacyPathsDegradeIdentically) {
                                          system.surface()));
     const double legacy_delivered = options.link_layer.throughput_mbps(
         legacy - options.noise);
+    EXPECT_NEAR(legacy.value(), pin.power_dbm, 1e-12) << "floor " << floor;
+    EXPECT_NEAR(legacy_delivered, pin.delivered_mbps, 1e-12)
+        << "floor " << floor;
     ASSERT_FALSE(report.trace.empty());
     for (const TrackTrace& tick : report.trace) {
-      EXPECT_NEAR(tick.power.value(), legacy.value(), 1e-12)
+      EXPECT_NEAR(tick.power.value(), pin.power_dbm, 1e-12)
           << "floor " << floor;
-      EXPECT_NEAR(tick.delivered_mbps, legacy_delivered, 1e-12)
+      EXPECT_NEAR(tick.delivered_mbps, pin.delivered_mbps, 1e-12)
           << "floor " << floor;
       EXPECT_EQ(tick.outage,
-                legacy < options.noise +
-                             options.link_layer.min_operational_snr());
+                PowerDbm{pin.power_dbm} <
+                    options.noise + options.link_layer.min_operational_snr());
     }
   }
 }
