@@ -4,7 +4,7 @@
 // Paper: mismatch shifts the distribution down by ~10 dB in both cases.
 #include <iostream>
 
-#include "src/channel/link_budget.h"
+#include "src/channel/propagation_scene.h"
 #include "src/common/math_utils.h"
 #include "src/common/table.h"
 #include "src/radio/devices.h"
@@ -34,10 +34,11 @@ void run_case(const LinkSpec& spec) {
     g.tx_surface_distance_m = spec.distance_m / 2.0;
     const auto rx_angle =
         common::Angle::degrees(mismatched != 0 ? 90.0 : 0.0);
-    channel::LinkBudget link{
-        channel::Antenna::iot_dipole(common::Angle::degrees(0.0)),
-        channel::Antenna::iot_dipole(rx_angle), g,
-        channel::Environment::absorber_chamber()};
+    const channel::PropagationScene link =
+        channel::PropagationScene::single_link(
+            channel::Antenna::iot_dipole(common::Angle::degrees(0.0)),
+            channel::Antenna::iot_dipole(rx_angle), g,
+            channel::Environment::absorber_chamber());
     const common::PowerDbm rx_power = link.received_power_without_surface(
         spec.tx_dev.tx_power, f0);
     radio::RssiReporter reporter{spec.rx_dev,

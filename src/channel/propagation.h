@@ -32,9 +32,8 @@ namespace llama::channel {
                                              double distance_m);
 
 /// Representative off-axis angle of environmental reflections; used to
-/// compute how much endpoint directivity suppresses multipath. One
-/// constant shared by LinkBudget and PropagationScene — their 1e-12
-/// equivalence depends on it.
+/// compute how much endpoint directivity suppresses multipath
+/// (PropagationScene's multipath reference).
 inline constexpr double kMultipathOffAxisDeg = 60.0;
 
 /// One secondary propagation path: a delayed, attenuated, re-polarized
@@ -91,7 +90,7 @@ class Environment {
 
 /// Composes the field at the receiver: LoS Jones state (already scaled by
 /// Friis amplitude and any surface response) plus each multipath ray applied
-/// to the transmitted state. Used by LinkBudget; exposed for tests.
+/// to the transmitted state. Used by PropagationScene; exposed for tests.
 [[nodiscard]] em::JonesVector combine_multipath(
     const em::JonesVector& los_at_rx, const em::JonesVector& tx_state,
     double friis_amp, const Environment& env);

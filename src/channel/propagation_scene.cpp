@@ -16,12 +16,10 @@ using em::JonesMatrix;
 using em::JonesVector;
 
 Complex path_coefficient(const PropagationPath& p, common::Frequency f) {
-  // One Friis amplitude plus carrier phase over the path's total length —
-  // the same propagation_factor LinkBudget applies, which is what keeps
-  // the single-link equivalence exact.
+  // One Friis amplitude plus carrier phase over the path's total length.
   Complex c = propagation_factor(f, p.length_m);
-  // Unit factors are skipped, keeping the single-link terms operation-for-
-  // operation identical to LinkBudget's field model.
+  // Unit factors are skipped: the single-link terms then round exactly as
+  // the pinned single-link outputs were recorded.
   if (p.pattern_scale != 1.0) c = c * p.pattern_scale;
   if (p.coupling_scale != 1.0) c = c * p.coupling_scale;
   if (p.excess_phase_rad != 0.0)
@@ -42,11 +40,21 @@ double mean_copolar(const JonesMatrix& r) {
 
 }  // namespace
 
-PropagationScene::PropagationScene(Antenna tx_antenna, Antenna rx_antenna,
-                                   LinkGeometry home_geometry,
-                                   Environment environment)
-    : PropagationScene(std::move(tx_antenna), std::move(rx_antenna),
-                       home_geometry, std::move(environment), SceneSpec{}) {}
+double LinkGeometry::rx_surface_distance_m() const {
+  if (mode == metasurface::SurfaceMode::kTransmissive)
+    return std::max(tx_rx_distance_m - tx_surface_distance_m, 1e-3);
+  // Reflective: surface sits on the perpendicular bisector of the
+  // transceiver pair (paper Section 5.2.1), so both legs are equal.
+  const double half = tx_rx_distance_m / 2.0;
+  return std::sqrt(tx_surface_distance_m * tx_surface_distance_m +
+                   half * half);
+}
+
+double LinkGeometry::surface_path_m() const {
+  if (mode == metasurface::SurfaceMode::kTransmissive)
+    return tx_rx_distance_m;
+  return 2.0 * rx_surface_distance_m();
+}
 
 PropagationScene::PropagationScene(Antenna tx_antenna, Antenna rx_antenna,
                                    LinkGeometry home_geometry,
@@ -64,7 +72,7 @@ PropagationScene PropagationScene::single_link(Antenna tx_antenna,
                                                LinkGeometry geometry,
                                                Environment environment) {
   return PropagationScene{std::move(tx_antenna), std::move(rx_antenna),
-                          geometry, std::move(environment)};
+                          geometry, std::move(environment), SceneSpec{}};
 }
 
 PropagationScene PropagationScene::from_spec(Antenna tx_antenna,
@@ -156,8 +164,9 @@ void PropagationScene::rebuild_paths() {
     home.length_m = geometry_.tx_rx_distance_m;
     paths_.push_back(std::move(home));
   } else {
-    // Reflective: both endpoints aim AT the surface; the direct LoS sits
-    // off both antennas' axes (LinkBudget's los_pattern_scale).
+    // Reflective (paper Fig. 14 right): both endpoints aim AT the surface,
+    // so the bounced path is on boresight and the direct LoS sits off both
+    // antennas' axes.
     const double boresight_to_los_rad = std::atan2(
         geometry_.tx_surface_distance_m, geometry_.tx_rx_distance_m / 2.0);
     const common::Angle los_off = common::Angle::radians(boresight_to_los_rad);

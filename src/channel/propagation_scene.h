@@ -1,4 +1,4 @@
-// PropagationScene — the multi-surface generalization of LinkBudget.
+// PropagationScene — the coherent link model between one Tx/Rx pair.
 //
 // A device's received field is the coherent Jones-domain sum over an
 // explicit set of propagation paths: the direct LoS, the serving surface's
@@ -6,13 +6,15 @@
 // programmed surface of a deployment, and chained surface->surface relay
 // segments. Each path carries its own Friis attenuation, carrier phase,
 // endpoint-pattern scaling and coupling loss; the environment's multipath
-// and interference floor compose on top exactly as in LinkBudget.
+// and interference floor compose on top.
 //
 // Contracts:
 //
-//  - One-surface equivalence: a scene built by single_link() reproduces
-//    LinkBudget's field model term for term (golden-tested at 1e-12 for
-//    both modes, with and without multipath, batched and unbatched).
+//  - Single link: a scene built by single_link() is the paper's testbed
+//    (Fig. 14, transmissive or reflective, one surface between Tx and Rx).
+//    Its outputs are pinned as hexfloats at 1e-12 for both modes, with and
+//    without multipath, batched and unbatched
+//    (tests/channel/single_link_pins.h).
 //  - Frozen-contribution batching: a bias sweep over ONE surface evaluates
 //    only that surface's paths per candidate response; every other path's
 //    contribution is summed once into a FrozenEval. This keeps per-cell
@@ -30,13 +32,30 @@
 #include <vector>
 
 #include "src/channel/antenna.h"
-#include "src/channel/link_budget.h"
 #include "src/channel/propagation.h"
 #include "src/common/units.h"
 #include "src/em/jones.h"
 #include "src/metasurface/metasurface.h"
 
 namespace llama::channel {
+
+/// Geometry of the paper's two experimental setups (Fig. 14).
+struct LinkGeometry {
+  /// Transmitter-to-receiver separation [m] (transmissive: through the
+  /// surface; reflective: the direct LoS distance).
+  double tx_rx_distance_m = 0.42;
+  /// Transmitter-to-surface distance [m]; used in both modes. In the
+  /// transmissive mode the surface sits between the endpoints at this
+  /// distance from the transmitter.
+  double tx_surface_distance_m = 0.21;
+  /// Surface operating mode for this deployment.
+  metasurface::SurfaceMode mode = metasurface::SurfaceMode::kTransmissive;
+
+  /// Receiver-to-surface distance implied by the geometry [m].
+  [[nodiscard]] double rx_surface_distance_m() const;
+  /// Total surface-path length [m] (Tx->surface->Rx).
+  [[nodiscard]] double surface_path_m() const;
+};
 
 /// Role of one term in the coherent sum.
 enum class PathKind {
@@ -135,10 +154,7 @@ class PropagationScene {
   /// still spans the LoS), every other missing surface drops its paths.
   using ResponseView = std::span<const em::JonesMatrix* const>;
 
-  /// Single-link scene: the exact LinkBudget topology (home surface only).
-  PropagationScene(Antenna tx_antenna, Antenna rx_antenna,
-                   LinkGeometry home_geometry, Environment environment);
-
+  /// Single-link scene: the home surface only (paper Fig. 14).
   [[nodiscard]] static PropagationScene single_link(Antenna tx_antenna,
                                                     Antenna rx_antenna,
                                                     LinkGeometry geometry,
@@ -188,7 +204,7 @@ class PropagationScene {
   [[nodiscard]] const Antenna& tx_antenna() const { return tx_; }
   [[nodiscard]] const Antenna& rx_antenna() const { return rx_; }
   /// Home-surface geometry (anchors the direct path and the multipath
-  /// reference, exactly as in LinkBudget).
+  /// reference).
   [[nodiscard]] const LinkGeometry& geometry() const { return geometry_; }
   [[nodiscard]] const Environment& environment() const { return env_; }
   /// Number of surfaces in the scene (>= 1; home is id 0).
@@ -205,8 +221,10 @@ class PropagationScene {
       common::PowerDbm tx_power, common::Frequency f,
       ResponseView responses) const;
 
-  /// LinkBudget-compatible convenience: home surface only (its response is
-  /// taken at the home geometry's mode), every other surface absent.
+  /// Home surface driven by `surface` at its current bias (its response is
+  /// taken at the home geometry's mode; nullptr = absent), every other
+  /// surface absent — the static field a caller composes further paths
+  /// onto (the respiration scenario adds the breathing body's replica).
   [[nodiscard]] em::JonesVector field_at_receiver(
       common::PowerDbm tx_power, common::Frequency f,
       const metasurface::Metasurface* surface) const;
@@ -218,12 +236,14 @@ class PropagationScene {
                                                 ResponseView responses) const;
 
   /// Home surface driven by `response`, every other surface absent — the
-  /// drop-in for LinkBudget::received_power_with_response.
+  /// pointwise probe of a one-surface link (a codebook lookup, a served
+  /// retune request).
   [[nodiscard]] common::PowerDbm received_power_with_response(
       common::PowerDbm tx_power, common::Frequency f,
       const em::JonesMatrix& response) const;
 
-  /// Every surface absent (the no-surface baseline).
+  /// Every surface absent: the no-surface baseline a surface's gain is
+  /// reported against.
   [[nodiscard]] common::PowerDbm received_power_without_surface(
       common::PowerDbm tx_power, common::Frequency f) const;
 

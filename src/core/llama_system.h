@@ -179,8 +179,8 @@ class LlamaSystem {
     return surface_;
   }
   /// The propagation scene carrying this system's link. For a default
-  /// (empty SceneSpec) configuration this is the exact single-surface
-  /// LinkBudget topology; mutations through it bump the scene revision, so
+  /// (empty SceneSpec) configuration this is the single-surface testbed
+  /// link (paper Fig. 14); mutations through it bump the scene revision, so
   /// consumers holding precomputed per-frequency state can detect drift.
   [[nodiscard]] channel::PropagationScene& link() { return scene_; }
   [[nodiscard]] channel::PropagationScene& scene() { return scene_; }

@@ -275,6 +275,10 @@ DeploymentEngine::DeploymentEngine(DeploymentConfig config,
     : config_(std::move(config)),
       engine_(std::move(stack), config_.cache),
       receiver_(config_.receiver, common::Rng{0}) {
+  if (!config_.layout.empty())
+    throw std::invalid_argument{
+        "DeploymentEngine: config.layout must be empty (the engine runs the "
+        "ring model; city layouts run on CityFleetEngine or FleetTracker)"};
   // Reject bad Algorithm-1 options now, not at the first run().
   control::PowerSupply supply;
   (void)control::CoarseToFineSweep{supply, config_.sweep};
@@ -290,6 +294,23 @@ void DeploymentEngine::validate(const std::vector<DeviceSpec>& devices) const {
                               "' names surface " +
                               std::to_string(spec.surface) + " of " +
                               std::to_string(config_.n_surfaces)};
+}
+
+void DeploymentEngine::check_codebook(const codebook::Codebook& book) const {
+  const codebook::Codebook::Header& header = book.header();
+  if (header.mode != config_.geometry.mode)
+    throw std::invalid_argument{
+        "DeploymentEngine: codebook surface mode does not match the "
+        "deployment geometry"};
+  if (header.config_hash !=
+      codebook::deployment_config_hash(config_, engine_.stack()))
+    throw codebook::CodebookStaleError{
+        "DeploymentEngine: codebook was compiled for a different deployment "
+        "configuration (config-hash mismatch); recompile it"};
+  if (!book.covers_frequency(config_.frequency))
+    throw std::out_of_range{
+        "DeploymentEngine: deployment frequency lies outside the codebook's "
+        "compiled frequency axis"};
 }
 
 DeploymentReport DeploymentEngine::run(
@@ -356,20 +377,7 @@ DeploymentReport DeploymentEngine::run(
 DeploymentReport DeploymentEngine::run_codebook(
     const std::vector<DeviceSpec>& devices, const codebook::Codebook& book) {
   validate(devices);
-  const codebook::Codebook::Header& header = book.header();
-  if (header.mode != config_.geometry.mode)
-    throw std::invalid_argument{
-        "DeploymentEngine: codebook surface mode does not match the "
-        "deployment geometry"};
-  if (header.config_hash !=
-      codebook::deployment_config_hash(config_, engine_.stack()))
-    throw codebook::CodebookStaleError{
-        "DeploymentEngine: codebook was compiled for a different deployment "
-        "configuration (config-hash mismatch); recompile it"};
-  if (!book.covers_frequency(config_.frequency))
-    throw std::out_of_range{
-        "DeploymentEngine: deployment frequency lies outside the codebook's "
-        "compiled frequency axis"};
+  check_codebook(book);
 
   DeploymentReport report;
   report.devices.resize(devices.size());
@@ -444,20 +452,7 @@ DeploymentReport DeploymentEngine::run_codebook_file(
   std::string reason;
   try {
     book.emplace(codebook::Codebook::load(path));
-    const codebook::Codebook::Header& header = book->header();
-    if (header.mode != config_.geometry.mode)
-      throw std::invalid_argument{
-          "DeploymentEngine: codebook surface mode does not match the "
-          "deployment geometry"};
-    if (header.config_hash !=
-        codebook::deployment_config_hash(config_, engine_.stack()))
-      throw codebook::CodebookStaleError{
-          "DeploymentEngine: codebook was compiled for a different "
-          "deployment configuration (config-hash mismatch); recompile it"};
-    if (!book->covers_frequency(config_.frequency))
-      throw std::out_of_range{
-          "DeploymentEngine: deployment frequency lies outside the "
-          "codebook's compiled frequency axis"};
+    check_codebook(*book);
   } catch (const std::exception& e) {
     reason = e.what();
     book.reset();

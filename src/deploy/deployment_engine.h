@@ -230,7 +230,8 @@ struct DeploymentConfig {
   /// CityFleetEngine and FleetTracker, use the spatial index: nearest-
   /// surface serving, per-device geometry from real mount positions,
   /// build-time leakage pruning at layout.prune.cutoff_db, and device
-  /// loops sharded by spatial cell. DeploymentEngine ignores it.
+  /// loops sharded by spatial cell. DeploymentEngine runs the ring model
+  /// only and rejects a non-empty layout at construction.
   channel::SurfaceLayout layout{};
   /// Per-device Algorithm 1 parameters (paper: N = 2, T = 5).
   control::CoarseToFineSweep::Options sweep{};
@@ -325,8 +326,9 @@ struct DeploymentReport {
 /// M surfaces, N devices, one shared response engine.
 class DeploymentEngine {
  public:
-  /// Throws std::invalid_argument when `config.sweep` is not a valid
-  /// CoarseToFineSweep configuration.
+  /// Throws std::invalid_argument when `config.layout` is non-empty (city
+  /// layouts run on CityFleetEngine / FleetTracker) or `config.sweep` is not
+  /// a valid CoarseToFineSweep configuration.
   explicit DeploymentEngine(DeploymentConfig config,
                             metasurface::RotatorStack stack =
                                 metasurface::prototype_fr4_design());
@@ -372,6 +374,11 @@ class DeploymentEngine {
  private:
   /// Shared argument validation for run()/run_codebook().
   void validate(const std::vector<DeviceSpec>& devices) const;
+  /// Throws when `book` cannot serve this deployment: std::invalid_argument
+  /// on a surface-mode mismatch, codebook::CodebookStaleError on a config-
+  /// hash mismatch, std::out_of_range when the deployment frequency lies
+  /// outside the compiled axis.
+  void check_codebook(const codebook::Codebook& book) const;
   /// Shared tail: per-surface scheduling, the cross-surface leakage pass
   /// (slot-weighted interference each device receives from the other
   /// surfaces' final schedules, when the interference model is enabled),

@@ -118,13 +118,8 @@ std::optional<common::PowerDbm> ResilientPolicy::retune(
         return report.sweep.best_power;
       }
       case Level::kResweep: {
-        const control::PowerProbe baseline = [&system](common::Voltage vx,
-                                                       common::Voltage vy) {
-          system.surface().set_bias(vx, vy);
-          return system.expected_measure_with_surface();
-        };
         const control::OptimizationReport report =
-            controller_->optimize(baseline,
+            controller_->optimize(track::expected_probe(system),
                                   system.make_grid_probe(options_.threads));
         action.retuned = true;
         action.probes = report.sweep.probes;

@@ -9,18 +9,12 @@
 
 namespace llama::track {
 
-namespace {
-
-/// Deterministic point probe: programs the surface and reads the expected
-/// power (no RNG state consumed), so fleet shards stay byte-identical.
 control::PowerProbe expected_probe(core::LlamaSystem& system) {
   return [&system](common::Voltage vx, common::Voltage vy) {
     system.surface().set_bias(vx, vy);
     return system.expected_measure_with_surface();
   };
 }
-
-}  // namespace
 
 void HysteresisResweep::bind(core::LlamaSystem& system) {
   controller_.emplace(system.surface(), system.supply(),

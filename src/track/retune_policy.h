@@ -86,6 +86,11 @@ class RetunePolicy {
                                const TickObservation& obs) = 0;
 };
 
+/// Deterministic point probe for a policy's re-sweep baseline: programs the
+/// surface and reads the expected power (no RNG state consumed), so fleet
+/// shards stay byte-identical. `system` must outlive the probe.
+[[nodiscard]] control::PowerProbe expected_probe(core::LlamaSystem& system);
+
 /// The paper's tracking strategy: consume the per-tick power report through
 /// control::Controller's hysteresis and run a full Algorithm-1 re-sweep when
 /// the link has faded past the threshold. Re-sweeps measure through the

@@ -1,7 +1,8 @@
-// Golden equivalence suite: a one-surface PropagationScene must reproduce
-// LinkBudget to 1e-12 — both modes, with and without multipath, batched
-// (frozen-contribution sweep) and unbatched — plus the scene-only
-// contracts: revision staleness, leakage paths, relay paths.
+// Golden suite: a one-surface PropagationScene must reproduce the pinned
+// single-link outputs (single_link_pins.h) to 1e-12 — both modes, with and
+// without multipath, batched (frozen-contribution sweep) and unbatched —
+// plus the scene-only contracts: revision staleness, leakage paths, relay
+// paths.
 #include "src/channel/propagation_scene.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/channel/link_budget.h"
 #include "src/metasurface/metasurface.h"
 #include "tests/channel/single_link_pins.h"
 
@@ -74,7 +74,7 @@ std::vector<Environment> environment_cases() {
           Environment::laboratory(rng)};
 }
 
-TEST(PropagationSceneGolden, UnbatchedMatchesLinkBudgetEverywhere) {
+TEST(PropagationSceneGolden, UnbatchedMatchesPinnedSingleLinkEverywhere) {
   const std::vector<ModeCase> modes = mode_cases();
   const std::vector<Environment> envs = environment_cases();
   for (std::size_t m = 0; m < modes.size(); ++m) {
@@ -86,14 +86,10 @@ TEST(PropagationSceneGolden, UnbatchedMatchesLinkBudgetEverywhere) {
       const double* pinned = pins::kRx90Dbm[m][e];
       const Antenna tx = Antenna::directional_10dbi(Angle::degrees(0.0));
       const Antenna rx = Antenna::directional_10dbi(Angle::degrees(90.0));
-      const LinkBudget link{tx, rx, mc.geometry, envs[e]};
       const PropagationScene scene =
           PropagationScene::single_link(tx, rx, mc.geometry, envs[e]);
 
       EXPECT_NEAR(scene.received_power_without_surface(kTx, kF0).value(),
-                  pinned[0], kTol)
-          << mc.name;
-      EXPECT_NEAR(link.received_power_without_surface(kTx, kF0).value(),
                   pinned[0], kTol)
           << mc.name;
       for (std::size_t k = 0; k < samples.size(); ++k) {
@@ -101,16 +97,12 @@ TEST(PropagationSceneGolden, UnbatchedMatchesLinkBudgetEverywhere) {
             scene.received_power_with_response(kTx, kF0, samples[k]).value(),
             pinned[k + 1], kTol)
             << mc.name << " sample " << k;
-        EXPECT_NEAR(
-            link.received_power_with_response(kTx, kF0, samples[k]).value(),
-            pinned[k + 1], kTol)
-            << mc.name << " sample " << k;
       }
     }
   }
 }
 
-TEST(PropagationSceneGolden, MetasurfaceOverloadMatchesLinkBudget) {
+TEST(PropagationSceneGolden, MetasurfaceOverloadMatchesPinnedField) {
   metasurface::Metasurface surface = metasurface::Metasurface::llama_prototype();
   surface.set_bias(Voltage{5.0}, Voltage{25.0});
   const std::vector<ModeCase> modes = mode_cases();
@@ -122,25 +114,18 @@ TEST(PropagationSceneGolden, MetasurfaceOverloadMatchesLinkBudget) {
     const Antenna tx = Antenna::directional_10dbi(Angle::degrees(0.0));
     const Antenna rx = Antenna::directional_10dbi(Angle::degrees(90.0));
     const Environment env = Environment::absorber_chamber();
-    const LinkBudget link{tx, rx, mc.geometry, env};
     const PropagationScene scene =
         PropagationScene::single_link(tx, rx, mc.geometry, env);
-    for (const em::JonesVector& got :
-         {scene.field_at_receiver(kTx, kF0, &surface),
-          link.field_at_receiver(kTx, kF0, &surface)}) {
-      EXPECT_NEAR(std::abs(got.ex() - expect.ex()), 0.0, kTol) << mc.name;
-      EXPECT_NEAR(std::abs(got.ey() - expect.ey()), 0.0, kTol) << mc.name;
-    }
+    const em::JonesVector got = scene.field_at_receiver(kTx, kF0, &surface);
+    EXPECT_NEAR(std::abs(got.ex() - expect.ex()), 0.0, kTol) << mc.name;
+    EXPECT_NEAR(std::abs(got.ey() - expect.ey()), 0.0, kTol) << mc.name;
     EXPECT_NEAR(scene.field_at_receiver(kTx, kF0, nullptr).power(),
                 pinned[4], kTol)
-        << mc.name;
-    EXPECT_NEAR(link.field_at_receiver(kTx, kF0, nullptr).power(), pinned[4],
-                kTol)
         << mc.name;
   }
 }
 
-TEST(PropagationSceneGolden, BatchedFrozenSweepMatchesLinkBudget) {
+TEST(PropagationSceneGolden, BatchedFrozenSweepMatchesPinnedSingleLink) {
   // The frozen-contribution sweep — the deployment/codebook hot path —
   // must agree with the pinned per-cell field model exactly.
   const std::vector<ModeCase> modes = mode_cases();
@@ -154,7 +139,6 @@ TEST(PropagationSceneGolden, BatchedFrozenSweepMatchesLinkBudget) {
       const double* pinned = pins::kRx35Dbm[m][e];
       const Antenna tx = Antenna::directional_10dbi(Angle::degrees(0.0));
       const Antenna rx = Antenna::directional_10dbi(Angle::degrees(35.0));
-      const LinkBudget link{tx, rx, mc.geometry, envs[e]};
       const PropagationScene scene =
           PropagationScene::single_link(tx, rx, mc.geometry, envs[e]);
       const PropagationScene::FrozenEval frozen = scene.freeze_except(
@@ -163,16 +147,9 @@ TEST(PropagationSceneGolden, BatchedFrozenSweepMatchesLinkBudget) {
       EXPECT_NEAR(scene.received_power_without_surface(kTx, kF0).value(),
                   pinned[0], kTol)
           << mc.name;
-      EXPECT_NEAR(link.received_power_without_surface(kTx, kF0).value(),
-                  pinned[0], kTol)
-          << mc.name;
       for (std::size_t k = 0; k < samples.size(); ++k) {
         EXPECT_NEAR(scene.received_power_swept(frozen, samples[k]).value(),
                     pinned[k + 1], kTol)
-            << mc.name << " sample " << k;
-        EXPECT_NEAR(
-            link.received_power_with_response(kTx, kF0, samples[k]).value(),
-            pinned[k + 1], kTol)
             << mc.name << " sample " << k;
       }
     }
@@ -251,8 +228,6 @@ TEST(PropagationSceneRevision, MidRunSetGeometryInvalidatesStalePlans) {
   EXPECT_THROW((void)scene.received_power_swept(frozen, samples[0]),
                std::logic_error);
   // A fresh freeze reflects the new geometry exactly.
-  const LinkBudget link{scene.tx_antenna(), scene.rx_antenna(),
-                        scene.geometry(), scene.environment()};
   const PropagationScene::FrozenEval fresh = scene.freeze_except(
       PropagationScene::kHomeSurface, kTx, kF0,
       PropagationScene::ResponseView{});
@@ -260,9 +235,6 @@ TEST(PropagationSceneRevision, MidRunSetGeometryInvalidatesStalePlans) {
   for (std::size_t k = 0; k < samples.size(); ++k) {
     EXPECT_NEAR(scene.received_power_swept(fresh, samples[k]).value(),
                 pins::kTransmissive80cmDbm[k], kTol);
-    EXPECT_NEAR(
-        link.received_power_with_response(kTx, kF0, samples[k]).value(),
-        pins::kTransmissive80cmDbm[k], kTol);
   }
 }
 
@@ -419,14 +391,15 @@ TEST(PropagationSceneBulk, BulkLeakageAddIsOneRebuildNotM) {
 
   // Incremental: one revision bump (and one O(paths) rebuild) per surface
   // — the O(M^2) construction this regression test pins down.
-  PropagationScene incremental{ant, ant, g, env};
+  PropagationScene incremental =
+      PropagationScene::single_link(ant, ant, g, env);
   const std::uint64_t inc_r0 = incremental.revision();
   for (const LeakageSurfaceSpec& s : specs)
     (void)incremental.add_leakage_surface(s);
   EXPECT_EQ(incremental.revision(), inc_r0 + kM);
 
   // Bulk: the whole batch is ONE rebuild, whatever M is.
-  PropagationScene bulk{ant, ant, g, env};
+  PropagationScene bulk = PropagationScene::single_link(ant, ant, g, env);
   const std::uint64_t bulk_r0 = bulk.revision();
   const std::size_t first = bulk.add_leakage_surfaces(specs);
   EXPECT_EQ(first, 1u);
@@ -454,7 +427,8 @@ TEST(PropagationSceneBulk, BulkLeakageAddIsOneRebuildNotM) {
                    from_spec.received_power(kTx, kF0, rv).value());
 
   // Adding an empty batch is free: ids and revision are untouched.
-  PropagationScene empty_batch{ant, ant, g, env};
+  PropagationScene empty_batch =
+      PropagationScene::single_link(ant, ant, g, env);
   const std::uint64_t r0 = empty_batch.revision();
   EXPECT_EQ(empty_batch.add_leakage_surfaces({}), 1u);
   EXPECT_EQ(empty_batch.revision(), r0);

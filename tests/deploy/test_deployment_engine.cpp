@@ -448,6 +448,22 @@ TEST(DeploymentEngine, RejectsBadConfigurations) {
   EXPECT_THROW((void)engine.run(scenario.devices), std::out_of_range);
 }
 
+TEST(DeploymentEngine, RejectsCityLayoutAtConstruction) {
+  // The engine runs the ring model only; a layout it would not honor is
+  // rejected up front, naming the field.
+  deploy::DeploymentConfig config =
+      core::dense_deployment_scenario(2, 1).config;
+  config.layout = core::city_scale_scenario(1, 1).config.layout;
+  ASSERT_FALSE(config.layout.empty());
+  try {
+    DeploymentEngine engine{config};
+    ADD_FAILURE() << "a non-empty layout was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("layout"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(DeploymentEngine, RejectsBadSweepOptionsAtConstruction) {
   // A bad Algorithm-1 schedule fails when the engine is built, not inside
   // the first run().

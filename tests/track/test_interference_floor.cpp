@@ -2,14 +2,13 @@
 // through LinkLayerModel::min_operational_snr and TrackReport outage. A
 // rising ambient floor must degrade delivered throughput monotonically and
 // drive the loop into outage once the link drops under noise +
-// min_operational_snr — and the scene path must agree with the legacy
-// single-link LinkBudget path number for number.
+// min_operational_snr — and the scene path must agree with the pinned
+// outputs of the legacy single-link path number for number.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
-#include "src/channel/link_budget.h"
 #include "src/channel/mobility.h"
 #include "src/core/scenarios.h"
 #include "src/track/tracking_loop.h"
@@ -98,8 +97,10 @@ TEST(InterferenceFloor, RisingFloorDegradesThroughputMonotonically) {
 }
 
 TEST(InterferenceFloor, SceneAndLegacyPathsDegradeIdentically) {
-  // Per floor: the legacy single-link chain's expected measure [dBm] and
-  // delivered throughput [Mb/s], pinned as hexfloats.
+  // Per floor: the expected measure [dBm] and delivered throughput [Mb/s]
+  // of the legacy single-link chain (standalone link model -> receiver
+  // expected measure -> link layer), pinned as hexfloats. The tracking
+  // loop runs the scene path and must land on them every tick.
   struct Pinned {
     double floor_dbm;
     double power_dbm;
@@ -121,20 +122,6 @@ TEST(InterferenceFloor, SceneAndLegacyPathsDegradeIdentically) {
     TrackingLoop loop{system, mount, policy, options};
     const TrackReport report = loop.run(4);
 
-    // Legacy single-link chain: LinkBudget -> receiver expected measure.
-    const channel::LinkBudget link{
-        cfg.tx_antenna,
-        cfg.rx_antenna.oriented(Angle::degrees(50.0)),
-        cfg.geometry, cfg.environment};
-    const radio::Receiver receiver{cfg.receiver, common::Rng{cfg.seed}};
-    const PowerDbm legacy = receiver.expected_measure(
-        link.received_power_with_surface(cfg.tx_power, cfg.frequency,
-                                         system.surface()));
-    const double legacy_delivered = options.link_layer.throughput_mbps(
-        legacy - options.noise);
-    EXPECT_NEAR(legacy.value(), pin.power_dbm, 1e-12) << "floor " << floor;
-    EXPECT_NEAR(legacy_delivered, pin.delivered_mbps, 1e-12)
-        << "floor " << floor;
     ASSERT_FALSE(report.trace.empty());
     for (const TrackTrace& tick : report.trace) {
       EXPECT_NEAR(tick.power.value(), pin.power_dbm, 1e-12)
