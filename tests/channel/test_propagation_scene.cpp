@@ -92,12 +92,11 @@ TEST(PropagationSceneGolden, UnbatchedMatchesPinnedSingleLinkEverywhere) {
       EXPECT_NEAR(scene.received_power_without_surface(kTx, kF0).value(),
                   pinned[0], kTol)
           << mc.name;
-      for (std::size_t k = 0; k < samples.size(); ++k) {
+      for (std::size_t k = 0; k < samples.size(); ++k)
         EXPECT_NEAR(
             scene.received_power_with_response(kTx, kF0, samples[k]).value(),
             pinned[k + 1], kTol)
             << mc.name << " sample " << k;
-      }
     }
   }
 }
@@ -147,11 +146,10 @@ TEST(PropagationSceneGolden, BatchedFrozenSweepMatchesPinnedSingleLink) {
       EXPECT_NEAR(scene.received_power_without_surface(kTx, kF0).value(),
                   pinned[0], kTol)
           << mc.name;
-      for (std::size_t k = 0; k < samples.size(); ++k) {
+      for (std::size_t k = 0; k < samples.size(); ++k)
         EXPECT_NEAR(scene.received_power_swept(frozen, samples[k]).value(),
                     pinned[k + 1], kTol)
             << mc.name << " sample " << k;
-      }
     }
   }
 }
@@ -232,10 +230,9 @@ TEST(PropagationSceneRevision, MidRunSetGeometryInvalidatesStalePlans) {
       PropagationScene::kHomeSurface, kTx, kF0,
       PropagationScene::ResponseView{});
   ASSERT_EQ(samples.size(), 25u);
-  for (std::size_t k = 0; k < samples.size(); ++k) {
+  for (std::size_t k = 0; k < samples.size(); ++k)
     EXPECT_NEAR(scene.received_power_swept(fresh, samples[k]).value(),
                 pins::kTransmissive80cmDbm[k], kTol);
-  }
 }
 
 TEST(PropagationSceneRevision, AntennaMutationsAlsoInvalidate) {
