@@ -67,8 +67,7 @@ std::string bool_json(bool b) { return b ? "true" : "false"; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = bench::json_mode(argc, argv);
-  if (!bench::open_out(argc, argv)) return 1;
+  const bool json = bench::parse_args(argc, argv);
   volatile double sink = 0.0;
 
   constexpr std::size_t kM = 256;

@@ -40,8 +40,7 @@ codebook::CompilerOptions compile_options() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = bench::json_mode(argc, argv);
-  if (!bench::open_out(argc, argv)) return 1;
+  const bool json = bench::parse_args(argc, argv);
 
   core::SystemConfig cfg = core::transmissive_mismatch_config(1.5);
   cfg.rx_antenna = channel::Antenna::iot_dipole(common::Angle::degrees(45.0));

@@ -49,8 +49,7 @@ double run_llama_system_baseline(
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = bench::json_mode(argc, argv);
-  if (!bench::open_out(argc, argv)) return 1;
+  const bool json = bench::parse_args(argc, argv);
   volatile double sink = 0.0;
 
   const std::pair<std::size_t, std::size_t> points[] = {

@@ -75,8 +75,7 @@ int run_speedup_comparison() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!bench::open_out(argc, argv)) return 1;
-  if (bench::json_mode(argc, argv)) return run_speedup_comparison();
+  if (bench::parse_args(argc, argv)) return run_speedup_comparison();
 
   common::Table rotation{"Fig. 15(h): rotation degree vs Tx-Rx distance"};
   rotation.set_columns({"dist_cm", "min_rot_deg", "max_rot_deg"});

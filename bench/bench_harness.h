@@ -11,12 +11,13 @@
 // `--out <file>` additionally APPENDS the JSON lines to <file>, regardless
 // of the console mode — so one CI job can run several benches with a shared
 // `--out trajectory.jsonl` and archive the concatenated trajectory as a
-// single artifact while keeping human-readable console output. Benches opt
-// in by calling open_out(argc, argv) once at startup.
+// single artifact while keeping human-readable console output. Every bench
+// calls parse_args(argc, argv) once at startup.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -33,42 +34,39 @@ struct BenchResult {
   long iterations = 0;
 };
 
-/// True when `--json` appears on the command line.
-inline bool json_mode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--json") == 0) return true;
-  return false;
-}
-
-/// The shared JSON side-channel opened by open_out(); nullptr when no
-/// `--out` flag was given (or open_out was never called).
+/// The shared JSON side-channel opened by parse_args(); nullptr when no
+/// `--out` flag was given.
 inline std::FILE*& out_stream() {
   static std::FILE* stream = nullptr;
   return stream;
 }
 
-/// Parses `--out <file>` and opens the file in append mode so consecutive
-/// bench runs accumulate one trajectory. Call once at the top of main();
-/// print_result then mirrors every JSON line there. Returns false (with a
-/// message on stderr) when the file cannot be opened.
-inline bool open_out(int argc, char** argv) {
+/// Parses the only flags a bench accepts, `--json` and `--out <file>`, and
+/// returns whether `--json` was given. `--out` opens the file in append
+/// mode so consecutive bench runs accumulate one trajectory; print_result
+/// then mirrors every JSON line there. Any other argument, or `--out`
+/// without a path or given twice, exits 2 naming it, so a typo'd flag
+/// cannot fall back to the human-readable table; an unopenable file exits 1.
+inline bool parse_args(int argc, char** argv) {
+  bool json = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") != 0) continue;
-    if (i + 1 >= argc) {
-      // A forgotten filename must fail loudly, not silently drop the
-      // trajectory side-channel CI expects to archive.
-      std::fprintf(stderr, "bench: --out requires a file path\n");
-      return false;
+    if (std::strcmp(argv[i], "--json") == 0) {
+      json = true;
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc &&
+               out_stream() == nullptr) {
+      out_stream() = std::fopen(argv[++i], "a");
+      if (out_stream() == nullptr) {
+        std::fprintf(stderr, "%s: cannot open --out file '%s'\n", argv[0],
+                     argv[i]);
+        std::exit(1);
+      }
+    } else {
+      std::fprintf(stderr, "%s: unexpected argument '%s' (usage: [--json] "
+                   "[--out <file>])\n", argv[0], argv[i]);
+      std::exit(2);
     }
-    out_stream() = std::fopen(argv[i + 1], "a");
-    if (out_stream() == nullptr) {
-      std::fprintf(stderr, "bench: cannot open --out file '%s'\n",
-                   argv[i + 1]);
-      return false;
-    }
-    return true;
   }
-  return true;  // no --out flag is not an error
+  return json;
 }
 
 /// Times `op` (one logical operation, e.g. one probe) until at least
@@ -158,15 +156,10 @@ inline std::string threads_extra_json(int threads) {
   return buf;
 }
 
-/// print_result for a latency bench: the usual throughput keys plus the
-/// latency_extra_json percentile keys (and any caller extras after them).
-inline void print_latency_result(const LatencyBenchResult& r, bool json,
-                                 const std::string& extra_json = "");
-
 /// Prints one result: a JSON line in json mode, aligned text otherwise.
 /// `extra_json` (optional) is appended inside the JSON object and must
 /// start with a comma, e.g. ",\"speedup_vs_unbatched\":12.5". When an
-/// `--out` file is open (see open_out) the JSON line is also appended
+/// `--out` file is open (see parse_args) the JSON line is also appended
 /// there, whatever the console mode.
 inline void print_result(const BenchResult& r, bool json,
                          const std::string& extra_json = "") {
@@ -185,8 +178,10 @@ inline void print_result(const BenchResult& r, bool json,
   }
 }
 
+/// print_result for a latency bench: the usual throughput keys plus the
+/// latency_extra_json percentile keys (and any caller extras after them).
 inline void print_latency_result(const LatencyBenchResult& r, bool json,
-                                 const std::string& extra_json) {
+                                 const std::string& extra_json = "") {
   print_result(r.timing, json, latency_extra_json(r.latency) + extra_json);
   if (!json) {
     std::printf("%-36s %10.2f us p50 %10.2f us p99 %10.2f us p999\n", "",

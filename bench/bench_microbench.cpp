@@ -38,8 +38,7 @@ std::vector<double> one_volt_axis() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = bench::json_mode(argc, argv);
-  if (!bench::open_out(argc, argv)) return 1;
+  const bool json = bench::parse_args(argc, argv);
   const auto f0 = common::Frequency::ghz(2.44);
 
   {

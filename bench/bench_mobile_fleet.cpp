@@ -53,8 +53,7 @@ std::string extra_json(const track::FleetReport& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = bench::json_mode(argc, argv);
-  if (!bench::open_out(argc, argv)) return 1;
+  const bool json = bench::parse_args(argc, argv);
 
   const std::size_t n_devices = 8;
   const std::size_t m_surfaces = 2;

@@ -80,8 +80,7 @@ std::string bool_json(bool b) { return b ? "true" : "false"; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = bench::json_mode(argc, argv);
-  if (!bench::open_out(argc, argv)) return 1;
+  const bool json = bench::parse_args(argc, argv);
 
   const core::ServingScenario scenario = core::serving_scenario();
 

@@ -279,14 +279,15 @@ DeploymentEngine::DeploymentEngine(DeploymentConfig config,
     throw std::invalid_argument{
         "DeploymentEngine: config.layout must be empty (the engine runs the "
         "ring model; city layouts run on CityFleetEngine or FleetTracker)"};
+  if (config_.n_surfaces == 0)
+    throw std::invalid_argument{
+        "DeploymentEngine: config.n_surfaces must be >= 1"};
   // Reject bad Algorithm-1 options now, not at the first run().
   control::PowerSupply supply;
   (void)control::CoarseToFineSweep{supply, config_.sweep};
 }
 
 void DeploymentEngine::validate(const std::vector<DeviceSpec>& devices) const {
-  if (config_.n_surfaces == 0)
-    throw std::invalid_argument{"DeploymentEngine: need >= 1 surface"};
   for (const DeviceSpec& spec : devices)
     if (spec.surface >= 0 &&
         static_cast<std::size_t>(spec.surface) >= config_.n_surfaces)
@@ -378,7 +379,11 @@ DeploymentReport DeploymentEngine::run_codebook(
     const std::vector<DeviceSpec>& devices, const codebook::Codebook& book) {
   validate(devices);
   check_codebook(book);
+  return serve_codebook(devices, book);
+}
 
+DeploymentReport DeploymentEngine::serve_codebook(
+    const std::vector<DeviceSpec>& devices, const codebook::Codebook& book) {
   DeploymentReport report;
   report.devices.resize(devices.size());
   const common::Frequency f = config_.frequency;
@@ -458,7 +463,7 @@ DeploymentReport DeploymentEngine::run_codebook_file(
     book.reset();
   }
   DeploymentReport report =
-      book ? run_codebook(devices, *book) : run(devices);
+      book ? serve_codebook(devices, *book) : run(devices);
   report.used_codebook = book.has_value();
   report.codebook_fallback_reason = reason;
   return report;

@@ -326,9 +326,10 @@ struct DeploymentReport {
 /// M surfaces, N devices, one shared response engine.
 class DeploymentEngine {
  public:
-  /// Throws std::invalid_argument when `config.layout` is non-empty (city
-  /// layouts run on CityFleetEngine / FleetTracker) or `config.sweep` is not
-  /// a valid CoarseToFineSweep configuration.
+  /// Throws std::invalid_argument when `config.n_surfaces` is 0,
+  /// `config.layout` is non-empty (city layouts run on CityFleetEngine /
+  /// FleetTracker) or `config.sweep` is not a valid CoarseToFineSweep
+  /// configuration.
   explicit DeploymentEngine(DeploymentConfig config,
                             metasurface::RotatorStack stack =
                                 metasurface::prototype_fr4_design());
@@ -336,9 +337,8 @@ class DeploymentEngine {
   /// Optimizes every device's bias pair (Algorithm 1, batched measurement
   /// model, sharded over threads), builds each surface's schedule, and
   /// aggregates capacity/BER. Deterministic: byte-identical results for any
-  /// `threads` setting. Throws std::invalid_argument when the config has no
-  /// surfaces and std::out_of_range when a DeviceSpec names a surface index
-  /// >= n_surfaces.
+  /// `threads` setting. Throws std::out_of_range when a DeviceSpec names a
+  /// surface index >= n_surfaces.
   [[nodiscard]] DeploymentReport run(const std::vector<DeviceSpec>& devices);
 
   /// Codebook fast path of run(): every device's bias pair comes from one
@@ -372,8 +372,12 @@ class DeploymentEngine {
   [[nodiscard]] SharedResponseEngine& response_engine() { return engine_; }
 
  private:
-  /// Shared argument validation for run()/run_codebook().
+  /// Shared roster validation for run()/run_codebook().
   void validate(const std::vector<DeviceSpec>& devices) const;
+  /// run_codebook()'s per-device body; the caller has already run
+  /// validate() and check_codebook().
+  DeploymentReport serve_codebook(const std::vector<DeviceSpec>& devices,
+                                  const codebook::Codebook& book);
   /// Throws when `book` cannot serve this deployment: std::invalid_argument
   /// on a surface-mode mismatch, codebook::CodebookStaleError on a config-
   /// hash mismatch, std::out_of_range when the deployment frequency lies

@@ -440,8 +440,7 @@ TEST(DeploymentEngine, RejectsBadConfigurations) {
       core::dense_deployment_scenario(2, 1);
   deploy::DeploymentConfig no_surfaces = scenario.config;
   no_surfaces.n_surfaces = 0;
-  DeploymentEngine empty{no_surfaces};
-  EXPECT_THROW((void)empty.run(scenario.devices), std::invalid_argument);
+  EXPECT_THROW(DeploymentEngine{no_surfaces}, std::invalid_argument);
 
   DeploymentEngine engine{scenario.config};
   scenario.devices[1].surface = 3;  // only 1 surface exists
