@@ -84,48 +84,6 @@ PropagationScene PropagationScene::from_spec(Antenna tx_antenna,
                           geometry, std::move(environment), std::move(spec)};
 }
 
-std::size_t PropagationScene::add_leakage_surface(
-    const LeakageSurfaceSpec& spec) {
-  // Leakage surfaces occupy ids [1, leakage.size()] and placed/relay ids
-  // follow, so inserting a leakage surface under existing ones would
-  // renumber ids callers already hold — and ResponseView indexing has no
-  // staleness guard. Refuse instead (build mixed scenes via from_spec).
-  if (!spec_.relays.empty() || !spec_.placed.empty())
-    throw std::logic_error{
-        "PropagationScene: add leakage surfaces before placed/relay "
-        "surfaces (adding one now would renumber existing ids)"};
-  spec_.leakage.push_back(spec);
-  ++revision_;
-  ++structural_revision_;
-  rebuild_paths();
-  return spec_.leakage.size();
-}
-
-std::size_t PropagationScene::add_leakage_surfaces(
-    std::span<const LeakageSurfaceSpec> specs) {
-  if (!spec_.relays.empty() || !spec_.placed.empty())
-    throw std::logic_error{
-        "PropagationScene: add leakage surfaces before placed/relay "
-        "surfaces (adding them now would renumber existing ids)"};
-  const std::size_t first = spec_.leakage.size() + 1;
-  if (specs.empty()) return first;
-  spec_.leakage.insert(spec_.leakage.end(), specs.begin(), specs.end());
-  // One rebuild for the whole batch: M surfaces cost O(M) paths total,
-  // not the O(M^2) of M incremental rebuilds.
-  ++revision_;
-  ++structural_revision_;
-  rebuild_paths();
-  return first;
-}
-
-std::size_t PropagationScene::add_relay_surface(const RelaySurfaceSpec& spec) {
-  spec_.relays.push_back(spec);
-  ++revision_;
-  ++structural_revision_;
-  rebuild_paths();
-  return spec_.leakage.size() + spec_.placed.size() + spec_.relays.size();
-}
-
 void PropagationScene::set_geometry(const LinkGeometry& g) {
   geometry_ = g;
   ++revision_;

@@ -20,11 +20,11 @@
 //    contribution is summed once into a FrozenEval. This keeps per-cell
 //    sweep cost identical to the single-link hot path regardless of how
 //    many surfaces the scene carries.
-//  - Revision counter: every mutation (geometry, endpoint antennas, added
-//    surfaces) bumps revision(). A FrozenEval records the revision it was
-//    built against and evaluation throws std::logic_error when the scene
-//    has moved on — a mid-run set_geometry() can no longer be silently
-//    served from stale precomputed state.
+//  - Revision counter: every mutation (geometry, endpoint antennas) bumps
+//    revision(). A FrozenEval records the revision it was built against
+//    and evaluation throws std::logic_error when the scene has moved on — a
+//    mid-run set_geometry() can no longer be silently served from stale
+//    precomputed state. A scene's surfaces are fixed at construction.
 #pragma once
 
 #include <cstdint>
@@ -167,18 +167,6 @@ class PropagationScene {
                                                   LinkGeometry geometry,
                                                   Environment environment,
                                                   SceneSpec spec);
-
-  /// Adds a non-serving surface + its leakage path; returns its scene id.
-  /// Throws std::logic_error when relay or placed surfaces already exist:
-  /// leakage ids precede both, so the insertion would renumber them.
-  std::size_t add_leakage_surface(const LeakageSurfaceSpec& spec);
-  /// Bulk form: appends every spec with ONE path-table rebuild and ONE
-  /// revision bump, so an M-surface scene builds in O(M) instead of the
-  /// O(M^2) of M incremental add_leakage_surface calls. Returns the scene
-  /// id of the first added surface (ids are consecutive).
-  std::size_t add_leakage_surfaces(std::span<const LeakageSurfaceSpec> specs);
-  /// Adds a relay surface chained after the home surface; returns its id.
-  std::size_t add_relay_surface(const RelaySurfaceSpec& spec);
 
   /// Mutations route through the scene so consumers holding precomputed
   /// state can detect drift: each bumps revision() and rebuilds the path

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/common/contracts.h"
 #include "src/common/parallel.h"
 
 namespace llama::deploy {
@@ -14,12 +13,10 @@ namespace llama::deploy {
 namespace {
 
 const DeploymentConfig& validated_city_config(const DeploymentConfig& config) {
-  if (config.layout.positions.empty())
+  config.validate();
+  if (config.layout.empty())
     throw std::invalid_argument{
         "CityFleetEngine: config.layout has no positions"};
-  if (config.layout.positions.size() != config.n_surfaces)
-    throw std::invalid_argument{
-        "CityFleetEngine: layout.positions.size() must equal n_surfaces"};
   if (config.geometry.mode != metasurface::SurfaceMode::kTransmissive)
     throw std::invalid_argument{
         "CityFleetEngine: city deployments model transmissive surfaces "
@@ -36,40 +33,31 @@ CityFleetEngine::CityFleetEngine(DeploymentConfig config,
       engine_(std::move(stack), config_.cache) {}
 
 void CityFleetEngine::assign(const std::vector<DeviceSpec>& devices) {
-  devices_.clear();
-  devices_.reserve(devices.size());
-  total_pruned_ = 0;
-  total_kept_ = 0;
-  cell_devices_ = partition_fleet(
-      config_, devices, [&](std::size_t i, DevicePlacement&& p) {
-        total_kept_ += p.scene.placed.size();
-        total_pruned_ += p.scene.pruned_count;
-        devices_.push_back(DeviceState{
-            p.serving, std::move(p.externals),
-            channel::PropagationScene::from_spec(
-                config_.tx_antenna,
-                config_.rx_antenna.oriented(devices[i].orientation),
-                p.geometry, config_.environment, std::move(p.scene))});
-      });
+  fleet_ = link_fleet(config_, devices);
+  total_kept_ = total_pruned_ = 0;
+  for (const DeviceLink& link : fleet_.links) {
+    total_kept_ += link.scene.spec().placed.size();
+    total_pruned_ += link.scene.spec().pruned_count;
+  }
 }
 
 std::size_t CityFleetEngine::serving_surface(std::size_t device) const {
-  if (device >= devices_.size())
+  if (device >= fleet_.links.size())
     throw std::out_of_range{"CityFleetEngine: device index out of range"};
-  return devices_[device].serving;
+  return fleet_.links[device].serving;
 }
 
 const channel::PropagationScene& CityFleetEngine::scene(
     std::size_t device) const {
-  if (device >= devices_.size())
+  if (device >= fleet_.links.size())
     throw std::out_of_range{"CityFleetEngine: device index out of range"};
-  return devices_[device].scene;
+  return fleet_.links[device].scene;
 }
 
 double CityFleetEngine::mean_kept_leakage() const {
-  if (devices_.empty()) return 0.0;
+  if (fleet_.links.empty()) return 0.0;
   return static_cast<double>(total_kept_) /
-         static_cast<double>(devices_.size());
+         static_cast<double>(fleet_.links.size());
 }
 
 std::vector<em::JonesMatrix> CityFleetEngine::responses_at(
@@ -86,14 +74,14 @@ std::vector<em::JonesMatrix> CityFleetEngine::responses_at(
   return responses;
 }
 
-void CityFleetEngine::view_for(const DeviceState& state,
+void CityFleetEngine::view_for(const DeviceLink& link,
                                const std::vector<em::JonesMatrix>& responses,
                                std::vector<const em::JonesMatrix*>& view)
     const {
-  view.assign(state.scene.surface_count(), nullptr);
-  view[channel::PropagationScene::kHomeSurface] = &responses[state.serving];
-  for (std::size_t k = 0; k < state.externals.size(); ++k)
-    view[k + 1] = &responses[state.externals[k]];
+  view.assign(link.scene.surface_count(), nullptr);
+  view[channel::PropagationScene::kHomeSurface] = &responses[link.serving];
+  for (std::size_t k = 0; k < link.externals.size(); ++k)
+    view[k + 1] = &responses[link.externals[k]];
 }
 
 CityEvalReport CityFleetEngine::evaluate(
@@ -108,9 +96,9 @@ CityEvalReport CityFleetEngine::evaluate(
   const std::vector<em::JonesMatrix> responses = responses_at(biases);
 
   CityEvalReport report;
-  report.power.assign(devices_.size(), common::PowerDbm{-120.0});
-  report.error_bound_db.assign(devices_.size(), 0.0);
-  report.shard_count = cell_devices_.size();
+  report.power.assign(fleet_.links.size(), common::PowerDbm{-120.0});
+  report.error_bound_db.assign(fleet_.links.size(), 0.0);
+  report.shard_count = fleet_.groups.size();
 
   const common::Frequency f = config_.frequency;
   const common::PowerDbm tx_power = config_.tx_power;
@@ -122,12 +110,12 @@ CityEvalReport CityFleetEngine::evaluate(
   // of the layout, never of thread count), so the fleet evaluation is
   // byte-identical for any config.threads value.
   common::parallel_for(
-      cell_devices_.size(), threads, [&](std::size_t cell) {
+      fleet_.groups.size(), threads, [&](std::size_t cell) {
         std::vector<const em::JonesMatrix*> view;
-        for (std::size_t i : cell_devices_[cell]) {
-          const DeviceState& state = devices_[i];
-          view_for(state, responses, view);
-          const common::PowerDbm p = state.scene.received_power(
+        for (std::size_t i : fleet_.groups[cell]) {
+          const DeviceLink& link = fleet_.links[i];
+          view_for(link, responses, view);
+          const common::PowerDbm p = link.scene.received_power(
               tx_power, f,
               channel::PropagationScene::ResponseView{view.data(),
                                                       view.size()});
@@ -138,7 +126,7 @@ CityEvalReport CityFleetEngine::evaluate(
           const double sig_mw =
               std::max(p.to_mw().value() - floor_mw, 1e-300);
           const double amp = std::sqrt(sig_mw);
-          const double bound = state.scene.pruned_field_bound(tx_power, f);
+          const double bound = link.scene.pruned_field_bound(tx_power, f);
           report.error_bound_db[i] =
               bound < amp
                   ? 20.0 * std::log10(amp / (amp - bound))
@@ -153,13 +141,13 @@ CityEvalReport CityFleetEngine::evaluate(
 
 channel::PropagationScene::FrozenEval CityFleetEngine::freeze_device(
     std::size_t device, const std::vector<SurfaceBias>& biases) {
-  if (device >= devices_.size())
+  if (device >= fleet_.links.size())
     throw std::out_of_range{"CityFleetEngine: device index out of range"};
   const std::vector<em::JonesMatrix> responses = responses_at(biases);
-  const DeviceState& state = devices_[device];
+  const DeviceLink& link = fleet_.links[device];
   std::vector<const em::JonesMatrix*> view;
-  view_for(state, responses, view);
-  return state.scene.freeze_except(
+  view_for(link, responses, view);
+  return link.scene.freeze_except(
       channel::PropagationScene::kHomeSurface, config_.tx_power,
       config_.frequency,
       channel::PropagationScene::ResponseView{view.data(), view.size()});
@@ -169,12 +157,12 @@ void CityFleetEngine::refreeze_device(
     std::size_t device, channel::PropagationScene::FrozenEval& frozen,
     std::span<const std::size_t> retuned,
     const std::vector<SurfaceBias>& biases) {
-  if (device >= devices_.size())
+  if (device >= fleet_.links.size())
     throw std::out_of_range{"CityFleetEngine: device index out of range"};
   const std::vector<em::JonesMatrix> responses = responses_at(biases);
-  const DeviceState& state = devices_[device];
+  const DeviceLink& link = fleet_.links[device];
   std::vector<const em::JonesMatrix*> view;
-  view_for(state, responses, view);
+  view_for(link, responses, view);
 
   // Deployment surfaces -> distinct spatial cells, ascending: the frozen
   // per-cell partials for exactly these cells are re-summed; everything
@@ -189,7 +177,7 @@ void CityFleetEngine::refreeze_device(
   }
   std::sort(cells.begin(), cells.end());
   cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-  state.scene.refreeze_cells(
+  link.scene.refreeze_cells(
       frozen, cells,
       channel::PropagationScene::ResponseView{view.data(), view.size()});
 }

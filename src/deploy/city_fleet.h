@@ -53,14 +53,14 @@ struct CityEvalReport {
 /// M placed surfaces, N positioned devices, pruned scenes, cell shards.
 class CityFleetEngine {
  public:
-  /// Requires a transmissive geometry and a layout whose positions match
-  /// config.n_surfaces; throws std::invalid_argument otherwise.
+  /// Throws what config.validate() throws, and std::invalid_argument
+  /// without a layout or with a reflective geometry.
   explicit CityFleetEngine(DeploymentConfig config,
                            metasurface::RotatorStack stack =
                                metasurface::prototype_fr4_design());
 
-  /// Builds each device's serving assignment, geometry and pruned scene
-  /// from partition_fleet (the same partition FleetTracker runs on). Every
+  /// Builds each device's link with link_fleet (partition_fleet, the same
+  /// partition FleetTracker runs on, then one scene per device). Every
   /// device needs a position (std::invalid_argument otherwise); an explicit
   /// DeviceSpec::surface overrides nearest-surface serving (std::out_of_range
   /// when >= n_surfaces). Deterministic: assignments depend only on the
@@ -71,7 +71,7 @@ class CityFleetEngine {
     return index_;
   }
   [[nodiscard]] const DeploymentConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t device_count() const { return devices_.size(); }
+  [[nodiscard]] std::size_t device_count() const { return fleet_.links.size(); }
   [[nodiscard]] std::size_t serving_surface(std::size_t device) const;
   [[nodiscard]] const channel::PropagationScene& scene(
       std::size_t device) const;
@@ -110,30 +110,20 @@ class CityFleetEngine {
   [[nodiscard]] SharedResponseEngine& response_engine() { return engine_; }
 
  private:
-  /// One device's link plant. The scene's surface ids are compact
-  /// post-pruning; externals maps scene surface k + 1 back to its
-  /// deployment id (DevicePlacement::externals).
-  struct DeviceState {
-    std::size_t serving = 0;
-    std::vector<std::size_t> externals;
-    channel::PropagationScene scene;
-  };
-
   /// Per-deployment-surface responses at `biases` (serial, cache-backed).
   [[nodiscard]] std::vector<em::JonesMatrix> responses_at(
       const std::vector<SurfaceBias>& biases);
   /// Fills `view` with device-scene-ordered response pointers.
-  void view_for(const DeviceState& state,
+  void view_for(const DeviceLink& link,
                 const std::vector<em::JonesMatrix>& responses,
                 std::vector<const em::JonesMatrix*>& view) const;
 
   DeploymentConfig config_;
   channel::SpatialSurfaceIndex index_;
   SharedResponseEngine engine_;
-  std::vector<DeviceState> devices_;
-  /// Device indices grouped by the serving surface's cell ordinal —
-  /// the shard plan (one entry per index cell, possibly empty).
-  std::vector<std::vector<std::size_t>> cell_devices_;
+  /// Groups are the shard plan: device indices by the serving surface's
+  /// cell ordinal (one per index cell, possibly empty).
+  FleetLinks fleet_;
   std::size_t total_pruned_ = 0;
   std::size_t total_kept_ = 0;
 };

@@ -9,7 +9,6 @@
 #include "src/channel/capacity.h"
 #include "src/codebook/codebook.h"
 #include "src/codebook/compiler.h"
-#include "src/common/contracts.h"
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/control/power_supply.h"
@@ -35,16 +34,24 @@ double plan_key(common::Frequency f) {
   return hz == 0.0 ? 0.0 : hz;
 }
 
-/// Surface serving the device at roster position `index`: the spec's
-/// explicit surface when set (>= 0), else round-robin by index. The caller
-/// validates explicit indices against n_surfaces.
-std::size_t assigned_surface(int spec_surface, std::size_t index,
-                             std::size_t n_surfaces) {
-  return spec_surface >= 0 ? static_cast<std::size_t>(spec_surface)
-                           : index % n_surfaces;
-}
-
 }  // namespace
+
+void DeploymentConfig::validate() const {
+  if (n_surfaces == 0)
+    throw std::invalid_argument{"DeploymentConfig: n_surfaces must be >= 1"};
+  if (!layout.empty() && layout.positions.size() != n_surfaces)
+    throw std::invalid_argument{
+        "DeploymentConfig: layout.positions.size() (" +
+        std::to_string(layout.positions.size()) + ") must equal n_surfaces (" +
+        std::to_string(n_surfaces) + ")"};
+  control::PowerSupply supply;
+  try {
+    (void)control::CoarseToFineSweep{supply, sweep};
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument{std::string{"DeploymentConfig: sweep: "} +
+                                e.what()};
+  }
+}
 
 channel::SceneSpec device_scene_spec(std::size_t n_surfaces,
                                      const InterferenceModel& interference) {
@@ -60,10 +67,9 @@ channel::SceneSpec device_scene_spec(std::size_t n_surfaces,
 std::vector<std::vector<std::size_t>> partition_fleet(
     const DeploymentConfig& config, const std::vector<DeviceSpec>& devices,
     const std::function<void(std::size_t, DevicePlacement&&)>& place) {
+  config.validate();
   const channel::SurfaceLayout& layout = config.layout;
   const bool city = !layout.empty();
-  LLAMA_EXPECTS(!city || layout.positions.size() == config.n_surfaces,
-                "a layout places every deployment surface");
   const channel::SpatialSurfaceIndex index =
       city ? channel::SpatialSurfaceIndex{layout.positions,
                                           layout.prune.cell_size_m}
@@ -85,17 +91,17 @@ std::vector<std::vector<std::size_t>> partition_fleet(
                               std::to_string(config.n_surfaces)};
 
     DevicePlacement p;
+    p.serving = spec.surface >= 0 ? static_cast<std::size_t>(spec.surface)
+                : city            ? index.nearest(*spec.position)
+                                  : i % config.n_surfaces;
     p.geometry = config.geometry;
     if (!city) {
-      p.serving = assigned_surface(spec.surface, i, config.n_surfaces);
       p.scene = device_scene_spec(config.n_surfaces, config.interference);
       if (!p.scene.empty())
         for (std::size_t s = 0; s < config.n_surfaces; ++s)
           if (s != p.serving) p.externals.push_back(s);
       groups[i].push_back(i);
     } else {
-      p.serving = spec.surface >= 0 ? static_cast<std::size_t>(spec.surface)
-                                    : index.nearest(*spec.position);
       const channel::CitySceneBuild build = channel::build_city_scene_spec(
           index, layout, p.serving, *spec.position,
           config.geometry.tx_surface_distance_m);
@@ -113,6 +119,22 @@ std::vector<std::vector<std::size_t>> partition_fleet(
     place(i, std::move(p));
   }
   return groups;
+}
+
+FleetLinks link_fleet(const DeploymentConfig& config,
+                      const std::vector<DeviceSpec>& devices) {
+  FleetLinks fleet;
+  fleet.links.reserve(devices.size());
+  fleet.groups = partition_fleet(
+      config, devices, [&](std::size_t i, DevicePlacement&& p) {
+        fleet.links.push_back(DeviceLink{
+            p.serving, std::move(p.externals),
+            channel::PropagationScene::from_spec(
+                config.tx_antenna,
+                config.rx_antenna.oriented(devices[i].orientation),
+                p.geometry, config.environment, std::move(p.scene))});
+      });
+  return fleet;
 }
 
 SharedResponseEngine::SharedResponseEngine(
@@ -275,26 +297,12 @@ DeploymentEngine::DeploymentEngine(DeploymentConfig config,
     : config_(std::move(config)),
       engine_(std::move(stack), config_.cache),
       receiver_(config_.receiver, common::Rng{0}) {
+  config_.validate();
   if (!config_.layout.empty())
     throw std::invalid_argument{
-        "DeploymentEngine: config.layout must be empty (the engine runs the "
-        "ring model; city layouts run on CityFleetEngine or FleetTracker)"};
-  if (config_.n_surfaces == 0)
-    throw std::invalid_argument{
-        "DeploymentEngine: config.n_surfaces must be >= 1"};
-  // Reject bad Algorithm-1 options now, not at the first run().
-  control::PowerSupply supply;
-  (void)control::CoarseToFineSweep{supply, config_.sweep};
-}
-
-void DeploymentEngine::validate(const std::vector<DeviceSpec>& devices) const {
-  for (const DeviceSpec& spec : devices)
-    if (spec.surface >= 0 &&
-        static_cast<std::size_t>(spec.surface) >= config_.n_surfaces)
-      throw std::out_of_range{"DeploymentEngine: device '" + spec.name +
-                              "' names surface " +
-                              std::to_string(spec.surface) + " of " +
-                              std::to_string(config_.n_surfaces)};
+        "DeploymentEngine: config.layout must be empty (the codebook config "
+        "hash covers the ring model only; city layouts run on "
+        "CityFleetEngine or FleetTracker)"};
 }
 
 void DeploymentEngine::check_codebook(const codebook::Codebook& book) const {
@@ -316,143 +324,21 @@ void DeploymentEngine::check_codebook(const codebook::Codebook& book) const {
 
 DeploymentReport DeploymentEngine::run(
     const std::vector<DeviceSpec>& devices) {
-  validate(devices);
-
-  DeploymentReport report;
-  report.devices.resize(devices.size());
-  const common::Frequency f = config_.frequency;
-  const metasurface::SurfaceMode mode = config_.geometry.mode;
-
-  // Shard the per-device Algorithm-1 runs. Each worker touches only its own
-  // DeviceResult slot; the shared engine is the only cross-thread state and
-  // serves pure values, so the shard is deterministic for any thread count.
-  // Optimization sweeps assume quiet neighbors (the other surfaces' biases
-  // are not decided yet, and serving them mid-sweep would make the result
-  // depend on device order): each device's scene is frozen with every
-  // non-home surface absent and only the swept home path is evaluated per
-  // bias cell. Leakage enters afterwards, as per-link interference over the
-  // final schedules (finalize_report).
-  const channel::SceneSpec scene_spec =
-      device_scene_spec(config_.n_surfaces, config_.interference);
-  // Each shard writes only its own results[i] slot.
-  common::parallel_for(devices.size(), config_.threads, [&](std::size_t i) {
-    const DeviceSpec& spec = devices[i];
-    const channel::PropagationScene scene =
-        channel::PropagationScene::from_spec(
-            config_.tx_antenna, config_.rx_antenna.oriented(spec.orientation),
-            config_.geometry, config_.environment, scene_spec);
-    const channel::PropagationScene::FrozenEval frozen = scene.freeze_except(
-        channel::PropagationScene::kHomeSurface, config_.tx_power, f,
-        channel::PropagationScene::ResponseView{});
-    const control::GridPowerProbe probe =
-        [&](const std::vector<double>& vxs, const std::vector<double>& vys) {
-          const metasurface::JonesGrid responses =
-              engine_.response_grid(f, mode, vxs, vys);
-          control::PowerGrid grid(
-              vys.size(), std::vector<common::PowerDbm>(vxs.size()));
-          for (std::size_t iy = 0; iy < vys.size(); ++iy)
-            for (std::size_t ix = 0; ix < vxs.size(); ++ix)
-              grid[iy][ix] = receiver_.expected_measure(
-                  scene.received_power_swept(frozen, responses[iy][ix]));
-          return grid;
-        };
-    control::PowerSupply supply;  // per-device instrument-time accounting
-    control::CoarseToFineSweep sweep{supply, config_.sweep};
-    LLAMA_INVARIANT(i < report.devices.size(),
-                    "each shard writes only its own result slot");
-    DeviceResult& out = report.devices[i];
-    out.name = spec.name;
-    out.surface = assigned_surface(spec.surface, i, config_.n_surfaces);
-    LLAMA_ENSURES(out.surface < config_.n_surfaces,
-                  "assigned surfaces lie inside the deployment");
-    out.sweep = sweep.run(probe);
-    out.optimized_power = out.sweep.best_power;
-    out.unoptimized_power = receiver_.expected_measure(
-        scene.received_power_without_surface(config_.tx_power, f));
-  });
-
-  finalize_report(devices, report);
-  return report;
+  return round(devices, link_fleet(config_, devices), nullptr);
 }
 
 DeploymentReport DeploymentEngine::run_codebook(
     const std::vector<DeviceSpec>& devices, const codebook::Codebook& book) {
-  validate(devices);
+  const FleetLinks fleet = link_fleet(config_, devices);
   check_codebook(book);
-  return serve_codebook(devices, book);
-}
-
-DeploymentReport DeploymentEngine::serve_codebook(
-    const std::vector<DeviceSpec>& devices, const codebook::Codebook& book) {
-  DeploymentReport report;
-  report.devices.resize(devices.size());
-  const common::Frequency f = config_.frequency;
-  const metasurface::SurfaceMode mode = config_.geometry.mode;
-
-  // When the power measured at the interpolated bias falls short of the
-  // codebook's interpolated prediction by more than this, the device sits
-  // between lattice cells whose optima disagree (a multi-modal bias plane)
-  // and the blend may have landed in a valley; fall back to the nearest
-  // cell's compiled best — a bias the offline sweep actually probed.
-  constexpr double kDeviationThresholdDb = 1.0;
-
-  // One immutable codebook shared by every shard: lookup() touches no
-  // mutable state, so the fan-out is lock-free on the codebook itself; the
-  // only shared touch is one response evaluation per device (two when the
-  // deviation guard fires) for the reported power (cached, so devices with
-  // coinciding optima hit).
-  const channel::SceneSpec scene_spec =
-      device_scene_spec(config_.n_surfaces, config_.interference);
-  // Each shard writes only its own results[i] slot.
-  common::parallel_for(devices.size(), config_.threads, [&](std::size_t i) {
-    const DeviceSpec& spec = devices[i];
-    const channel::PropagationScene scene =
-        channel::PropagationScene::from_spec(
-            config_.tx_antenna, config_.rx_antenna.oriented(spec.orientation),
-            config_.geometry, config_.environment, scene_spec);
-    const auto power_at = [&](common::Voltage vx, common::Voltage vy) {
-      return receiver_.expected_measure(scene.received_power_with_response(
-          config_.tx_power, f, engine_.response(f, mode, vx, vy)));
-    };
-    const codebook::BiasPoint hit = book.lookup(f, spec.orientation);
-    control::PowerSupply supply;  // per-device instrument-time accounting
-    supply.set_outputs(hit.vx, hit.vy);
-
-    DeviceResult& out = report.devices[i];
-    out.name = spec.name;
-    out.surface = assigned_surface(spec.surface, i, config_.n_surfaces);
-    out.sweep.best_vx = hit.vx;
-    out.sweep.best_vy = hit.vy;
-    out.sweep.best_power = power_at(hit.vx, hit.vy);
-    out.sweep.probes = 1;
-    if (out.sweep.best_power.value() <
-        hit.predicted_power.value() - kDeviationThresholdDb) {
-      const codebook::BiasPoint& anchor =
-          book.nearest(f, spec.orientation).best;
-      supply.set_outputs(anchor.vx, anchor.vy);
-      const common::PowerDbm anchored = power_at(anchor.vx, anchor.vy);
-      ++out.sweep.probes;
-      if (anchored > out.sweep.best_power) {
-        out.sweep.best_vx = anchor.vx;
-        out.sweep.best_vy = anchor.vy;
-        out.sweep.best_power = anchored;
-      }
-    }
-    out.sweep.time_cost_s = supply.elapsed_s();
-    out.optimized_power = out.sweep.best_power;
-    out.unoptimized_power = receiver_.expected_measure(
-        scene.received_power_without_surface(config_.tx_power, f));
-  });
-
-  finalize_report(devices, report);
-  return report;
+  return round(devices, fleet, &book);
 }
 
 DeploymentReport DeploymentEngine::run_codebook_file(
     const std::vector<DeviceSpec>& devices, const std::string& path) {
-  // Roster errors are the caller's bug and throw like run(); only artifact
-  // failures (checked below, before any optimization work) degrade.
-  validate(devices);
+  // Roster errors are the caller's bug and throw like run(), before the
+  // artifact is read; only artifact failures degrade.
+  const FleetLinks fleet = link_fleet(config_, devices);
   std::optional<codebook::Codebook> book;
   std::string reason;
   try {
@@ -462,14 +348,116 @@ DeploymentReport DeploymentEngine::run_codebook_file(
     reason = e.what();
     book.reset();
   }
-  DeploymentReport report =
-      book ? serve_codebook(devices, *book) : run(devices);
+  DeploymentReport report = round(devices, fleet, book ? &*book : nullptr);
   report.used_codebook = book.has_value();
   report.codebook_fallback_reason = reason;
   return report;
 }
 
+DeploymentReport DeploymentEngine::round(const std::vector<DeviceSpec>& devices,
+                                         const FleetLinks& fleet,
+                                         const codebook::Codebook* book) {
+  DeploymentReport report;
+  report.devices.resize(devices.size());
+  // Each group's worker writes only its own devices' result slots; the
+  // shared engine is the only cross-thread state and serves pure values,
+  // so the round is deterministic for any thread count.
+  common::parallel_for(fleet.groups.size(), config_.threads,
+                       [&](std::size_t g) {
+    for (const std::size_t i : fleet.groups[g]) {
+      const DeviceLink& link = fleet.links[i];
+      DeviceResult& out = report.devices[i];
+      out.name = devices[i].name;
+      out.surface = link.serving;
+      out.sweep = book != nullptr
+                      ? look_up(link.scene, devices[i].orientation, *book)
+                      : optimize(link.scene);
+      out.optimized_power = out.sweep.best_power;
+      out.unoptimized_power =
+          receiver_.expected_measure(link.scene.received_power_without_surface(
+              config_.tx_power, config_.frequency));
+    }
+  });
+  finalize_report(devices, fleet, report);
+  return report;
+}
+
+control::SweepResult DeploymentEngine::optimize(
+    const channel::PropagationScene& scene) {
+  const common::Frequency f = config_.frequency;
+  const metasurface::SurfaceMode mode = config_.geometry.mode;
+  // Optimization sweeps assume quiet neighbors (the other surfaces' biases
+  // are not decided yet, and serving them mid-sweep would make the result
+  // depend on device order): the scene is frozen with every non-home
+  // surface absent and only the swept home path is evaluated per bias
+  // cell. Leakage enters afterwards, as per-link interference over the
+  // final schedules (finalize_report).
+  const channel::PropagationScene::FrozenEval frozen = scene.freeze_except(
+      channel::PropagationScene::kHomeSurface, config_.tx_power, f,
+      channel::PropagationScene::ResponseView{});
+  const control::GridPowerProbe probe =
+      [&](const std::vector<double>& vxs, const std::vector<double>& vys) {
+        const metasurface::JonesGrid responses =
+            engine_.response_grid(f, mode, vxs, vys);
+        control::PowerGrid grid(vys.size(),
+                                std::vector<common::PowerDbm>(vxs.size()));
+        for (std::size_t iy = 0; iy < vys.size(); ++iy)
+          for (std::size_t ix = 0; ix < vxs.size(); ++ix)
+            grid[iy][ix] = receiver_.expected_measure(
+                scene.received_power_swept(frozen, responses[iy][ix]));
+        return grid;
+      };
+  control::PowerSupply supply;  // per-device instrument-time accounting
+  control::CoarseToFineSweep sweep{supply, config_.sweep};
+  return sweep.run(probe);
+}
+
+control::SweepResult DeploymentEngine::look_up(
+    const channel::PropagationScene& scene, common::Angle orientation,
+    const codebook::Codebook& book) {
+  const common::Frequency f = config_.frequency;
+  const metasurface::SurfaceMode mode = config_.geometry.mode;
+  // When the power measured at the interpolated bias falls short of the
+  // codebook's interpolated prediction by more than this, the device sits
+  // between lattice cells whose optima disagree (a multi-modal bias plane)
+  // and the blend may have landed in a valley; fall back to the nearest
+  // cell's compiled best — a bias the offline sweep actually probed.
+  constexpr double kDeviationThresholdDb = 1.0;
+  // lookup() touches no mutable state, so the fan-out is lock-free on the
+  // codebook itself; the only shared touch is one response evaluation per
+  // device (two when the deviation guard fires) for the reported power
+  // (cached, so devices with coinciding optima hit).
+  const auto power_at = [&](common::Voltage vx, common::Voltage vy) {
+    return receiver_.expected_measure(scene.received_power_with_response(
+        config_.tx_power, f, engine_.response(f, mode, vx, vy)));
+  };
+  const codebook::BiasPoint hit = book.lookup(f, orientation);
+  control::PowerSupply supply;  // per-device instrument-time accounting
+  supply.set_outputs(hit.vx, hit.vy);
+
+  control::SweepResult result;
+  result.best_vx = hit.vx;
+  result.best_vy = hit.vy;
+  result.best_power = power_at(hit.vx, hit.vy);
+  result.probes = 1;
+  if (result.best_power.value() <
+      hit.predicted_power.value() - kDeviationThresholdDb) {
+    const codebook::BiasPoint& anchor = book.nearest(f, orientation).best;
+    supply.set_outputs(anchor.vx, anchor.vy);
+    const common::PowerDbm anchored = power_at(anchor.vx, anchor.vy);
+    ++result.probes;
+    if (anchored > result.best_power) {
+      result.best_vx = anchor.vx;
+      result.best_vy = anchor.vy;
+      result.best_power = anchored;
+    }
+  }
+  result.time_cost_s = supply.elapsed_s();
+  return result;
+}
+
 void DeploymentEngine::finalize_report(const std::vector<DeviceSpec>& devices,
+                                       const FleetLinks& fleet,
                                        DeploymentReport& report) {
   // Per-surface scheduling and network-wide aggregation (serial: cheap).
   report.noise_floor = receiver_.noise_floor_dbm();
@@ -497,52 +485,37 @@ void DeploymentEngine::finalize_report(const std::vector<DeviceSpec>& devices,
     sr.scheduled_power = scheduler.expected_power(entries, sr.slots);
   }
 
-  // Phase 2: cross-surface leakage. Each non-serving surface airs its own
-  // schedule's biases; the interference a device hears from it is the
-  // slot-fraction-weighted power of the leakage path at each aired bias.
-  if (config_.interference.enable_leakage && config_.n_surfaces > 1) {
-    const channel::SceneSpec scene_spec =
-        device_scene_spec(config_.n_surfaces, config_.interference);
-    const common::Frequency f = config_.frequency;
-    const metasurface::SurfaceMode mode = config_.geometry.mode;
-    for (std::size_t i = 0; i < report.devices.size(); ++i) {
-      DeviceResult& d = report.devices[i];
-      const channel::PropagationScene scene =
-          channel::PropagationScene::from_spec(
-              config_.tx_antenna,
-              config_.rx_antenna.oriented(devices[i].orientation),
-              config_.geometry, config_.environment, scene_spec);
-      // Leakage paths appear in scene order; scene leakage index k maps to
-      // the k-th deployment surface != d.surface, ascending.
-      std::vector<std::size_t> leakage_paths;
-      for (std::size_t p = 0; p < scene.paths().size(); ++p)
-        if (scene.paths()[p].kind == channel::PathKind::kLeakage)
-          leakage_paths.push_back(p);
-      std::vector<const em::JonesMatrix*> responses(scene.surface_count(),
-                                                    nullptr);
-      double leak_mw = 0.0;
-      std::size_t k = 0;
-      for (std::size_t s = 0; s < config_.n_surfaces; ++s) {
-        if (s == d.surface) continue;
-        const std::size_t leak_surface = k + 1;  // scene id of this surface
-        for (const control::ScheduleSlot& slot : report.surfaces[s].slots) {
-          const em::JonesMatrix r = engine_.response(f, mode, slot.vx,
-                                                     slot.vy);
-          responses[leak_surface] = &r;
-          leak_mw +=
-              slot.slot_fraction *
-              scene.path_power(leakage_paths[k], config_.tx_power, f,
-                               responses)
-                  .value();
-          responses[leak_surface] = nullptr;
-        }
-        ++k;
+  // Phase 2: cross-surface leakage. Each of a link's external surfaces
+  // airs its own schedule's biases; the interference the device hears from
+  // it is the slot-fraction-weighted power of its leakage path at each
+  // aired bias. Without leakage a link has no externals.
+  const common::Frequency f = config_.frequency;
+  const metasurface::SurfaceMode mode = config_.geometry.mode;
+  for (std::size_t i = 0; i < report.devices.size(); ++i) {
+    const DeviceLink& link = fleet.links[i];
+    if (link.externals.empty()) continue;
+    const channel::PropagationScene& scene = link.scene;
+    std::vector<const em::JonesMatrix*> responses(scene.surface_count(),
+                                                  nullptr);
+    double leak_mw = 0.0;
+    for (std::size_t p = 0; p < scene.paths().size(); ++p) {
+      if (scene.paths()[p].kind != channel::PathKind::kLeakage) continue;
+      const std::size_t id = scene.paths()[p].surfaces.front();
+      for (const control::ScheduleSlot& slot :
+           report.surfaces[link.externals[id - 1]].slots) {
+        const em::JonesMatrix r = engine_.response(f, mode, slot.vx, slot.vy);
+        responses[id] = &r;
+        leak_mw +=
+            slot.slot_fraction *
+            scene.path_power(p, config_.tx_power, f, responses).value();
+        responses[id] = nullptr;
       }
-      d.leakage = common::PowerMw{leak_mw};
-      report.total_leakage += d.leakage;
-      if (d.leakage.value() > report.max_leakage.value())
-        report.max_leakage = d.leakage;
     }
+    DeviceResult& d = report.devices[i];
+    d.leakage = common::PowerMw{leak_mw};
+    report.total_leakage += d.leakage;
+    if (d.leakage.value() > report.max_leakage.value())
+      report.max_leakage = d.leakage;
   }
 
   // Phase 3: SINR-based aggregation — each link's noise is rate_noise plus

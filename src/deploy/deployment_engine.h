@@ -14,10 +14,10 @@
 //    but the first device hit, and an all-hit window is cheaper than any
 //    kernel build.
 //
-//  - DeploymentEngine: shards the per-device Algorithm-1 optimizations over
-//    common::parallel_for, then feeds each surface's per-device optima into
-//    PolarizationScheduler and reports aggregate spectral efficiency
-//    (channel::capacity) and BER (channel::ber) under the schedule.
+//  - DeploymentEngine: shards the per-device Algorithm-1 optimizations (or
+//    codebook lookups) over link_fleet's partition groups, then feeds each
+//    surface's per-device optima into PolarizationScheduler and reports
+//    aggregate spectral efficiency and BER under the schedule.
 //
 // Thread-safety / determinism contract: the registry and cache are
 // mutex-protected. Every computed value is a kernel cell, which is a pure
@@ -239,6 +239,11 @@ struct DeploymentConfig {
   metasurface::ResponseCacheConfig cache{};
   /// Worker threads for the per-device optimization shard (<= 0 default).
   int threads = 0;
+
+  /// Throws std::invalid_argument naming the field on n_surfaces == 0, a
+  /// non-empty layout whose size is not n_surfaces, or sweep options
+  /// CoarseToFineSweep rejects. Every fleet runtime's ctor calls it.
+  void validate() const;
 };
 
 /// One device's slot in a fleet partition: what its link plant is built
@@ -265,12 +270,33 @@ struct DevicePlacement {
 /// table. Returns the shard groups of device indices, ascending within a
 /// group: without a layout every device is its own group; with one, group
 /// c holds the devices whose serving surface lies in spatial cell c (one
-/// group per index cell, possibly empty). Throws std::invalid_argument when
-/// a layout is set and a device has no position, and std::out_of_range
-/// when a device names a surface >= n_surfaces.
+/// group per index cell, possibly empty). Throws what config.validate()
+/// throws, std::invalid_argument when a layout is set and a device has no
+/// position, and std::out_of_range when a device names a surface >=
+/// n_surfaces.
 [[nodiscard]] std::vector<std::vector<std::size_t>> partition_fleet(
     const DeploymentConfig& config, const std::vector<DeviceSpec>& devices,
     const std::function<void(std::size_t, DevicePlacement&&)>& place);
+
+/// One device's link for a round: its placement's serving surface and
+/// externals, and the scene built from the placement.
+struct DeviceLink {
+  std::size_t serving = 0;
+  std::vector<std::size_t> externals;
+  channel::PropagationScene scene;
+};
+
+/// links[i] is roster device i's link; groups are partition_fleet's.
+struct FleetLinks {
+  std::vector<DeviceLink> links;
+  std::vector<std::vector<std::size_t>> groups;
+};
+
+/// Places `devices` with partition_fleet (throwing what it throws) and
+/// builds each one's link once: the one place a deployment device's scene
+/// is built, shared by DeploymentEngine and CityFleetEngine.
+[[nodiscard]] FleetLinks link_fleet(const DeploymentConfig& config,
+                                    const std::vector<DeviceSpec>& devices);
 
 /// Per-device optimization outcome.
 struct DeviceResult {
@@ -326,19 +352,18 @@ struct DeploymentReport {
 /// M surfaces, N devices, one shared response engine.
 class DeploymentEngine {
  public:
-  /// Throws std::invalid_argument when `config.n_surfaces` is 0,
-  /// `config.layout` is non-empty (city layouts run on CityFleetEngine /
-  /// FleetTracker) or `config.sweep` is not a valid CoarseToFineSweep
-  /// configuration.
+  /// Throws what config.validate() throws, and std::invalid_argument when
+  /// `config.layout` is non-empty: the codebook config hash covers the ring
+  /// model only (city layouts run on CityFleetEngine / FleetTracker).
   explicit DeploymentEngine(DeploymentConfig config,
                             metasurface::RotatorStack stack =
                                 metasurface::prototype_fr4_design());
 
   /// Optimizes every device's bias pair (Algorithm 1, batched measurement
-  /// model, sharded over threads), builds each surface's schedule, and
-  /// aggregates capacity/BER. Deterministic: byte-identical results for any
-  /// `threads` setting. Throws std::out_of_range when a DeviceSpec names a
-  /// surface index >= n_surfaces.
+  /// model, sharded over the partition groups), builds each surface's
+  /// schedule, and aggregates capacity/BER. Deterministic: byte-identical
+  /// results for any `threads` setting. Throws std::out_of_range when a
+  /// DeviceSpec names a surface index >= n_surfaces.
   [[nodiscard]] DeploymentReport run(const std::vector<DeviceSpec>& devices);
 
   /// Codebook fast path of run(): every device's bias pair comes from one
@@ -364,7 +389,8 @@ class DeploymentEngine {
   /// mode or frequency mismatch — falls back to the full Algorithm-1 run()
   /// instead of failing the fleet. The report's used_codebook /
   /// codebook_fallback_reason record which path served the round. Device
-  /// roster errors still throw exactly like run().
+  /// roster errors still throw exactly like run(), before the artifact is
+  /// read.
   [[nodiscard]] DeploymentReport run_codebook_file(
       const std::vector<DeviceSpec>& devices, const std::string& path);
 
@@ -372,23 +398,26 @@ class DeploymentEngine {
   [[nodiscard]] SharedResponseEngine& response_engine() { return engine_; }
 
  private:
-  /// Shared roster validation for run()/run_codebook().
-  void validate(const std::vector<DeviceSpec>& devices) const;
-  /// run_codebook()'s per-device body; the caller has already run
-  /// validate() and check_codebook().
-  DeploymentReport serve_codebook(const std::vector<DeviceSpec>& devices,
-                                  const codebook::Codebook& book);
+  /// One round over `fleet`, each bias from optimize() (`book` null) or
+  /// look_up() in a checked `book`, then finalize_report.
+  DeploymentReport round(const std::vector<DeviceSpec>& devices,
+                         const FleetLinks& fleet,
+                         const codebook::Codebook* book);
+  control::SweepResult optimize(const channel::PropagationScene& scene);
+  control::SweepResult look_up(const channel::PropagationScene& scene,
+                               common::Angle orientation,
+                               const codebook::Codebook& book);
   /// Throws when `book` cannot serve this deployment: std::invalid_argument
   /// on a surface-mode mismatch, codebook::CodebookStaleError on a config-
   /// hash mismatch, std::out_of_range when the deployment frequency lies
   /// outside the compiled axis.
   void check_codebook(const codebook::Codebook& book) const;
   /// Shared tail: per-surface scheduling, the cross-surface leakage pass
-  /// (slot-weighted interference each device receives from the other
-  /// surfaces' final schedules, when the interference model is enabled),
-  /// then SINR-based capacity/BER aggregation.
+  /// (slot-weighted interference each device receives from its link's
+  /// external surfaces' final schedules), then SINR-based capacity/BER
+  /// aggregation.
   void finalize_report(const std::vector<DeviceSpec>& devices,
-                       DeploymentReport& report);
+                       const FleetLinks& fleet, DeploymentReport& report);
 
   DeploymentConfig config_;
   SharedResponseEngine engine_;

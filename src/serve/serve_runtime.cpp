@@ -26,6 +26,10 @@ ServingFleet build_serving_fleet(const deploy::DeploymentConfig& deployment,
                                  const codebook::CompilerOptions& compile) {
   if (devices.empty())
     throw std::invalid_argument("build_serving_fleet: empty device roster");
+  if (!deployment.layout.empty())
+    throw std::invalid_argument(
+        "build_serving_fleet: deployment.layout must be empty (the codebook "
+        "and every device plant follow the ring model)");
   ServingFleet fleet;
   fleet.frequency = deployment.frequency;
   fleet.rx_template = deployment.rx_antenna;

@@ -72,7 +72,10 @@ struct ServingFleet {
 /// link configuration (rx orientation is the codebook's query axis, so a
 /// single compile serves every device). The second overload takes explicit
 /// compiler options; the first compiles a single-frequency axis at the
-/// deployment frequency with default lattice pitch.
+/// deployment frequency with default lattice pitch. Both throw
+/// std::invalid_argument on an empty roster or a non-empty
+/// deployment.layout (the codebook hash and the plants cover the ring
+/// model only).
 [[nodiscard]] ServingFleet build_serving_fleet(
     const deploy::DeploymentConfig& deployment,
     const std::vector<deploy::DeviceSpec>& devices);

@@ -6,7 +6,9 @@
 // The structural rule the topology encodes is OWNERSHIP PARTITIONING:
 // device d is owned by shard d % n_shards, the owner is the only thread
 // that ever touches d's state, and a request that lands on the wrong shard
-// is forwarded to the owner — never served under a lock. That is what
+// is forwarded to the owner — never served under a lock. A serving fleet
+// runs the ring model, whose deploy::partition_fleet groups are singletons
+// in roster order, so this is group ownership. That is what
 // keeps the worker hot path lock-free (lint rule `serve-hot-path-blocking`)
 // and response payloads byte-identical for any shard count.
 #pragma once

@@ -4,7 +4,9 @@
 // The shard-ownership rule (the subsystem's correctness backbone, per the
 // stateful-chained-NF argument in PAPERS.md): device d is owned by shard
 // d % n_shards; the owner's thread is the only thread that ever reads or
-// writes d's LlamaSystem, programmed bias, or counters. Cross-shard
+// writes d's LlamaSystem, programmed bias, or counters. That is group
+// ownership: a serving fleet runs the ring model, whose
+// deploy::partition_fleet groups are singletons in roster order. Cross-shard
 // requests are FORWARDED to the owner's queue, never served under a lock —
 // there is no mutex to take, by design and by lint (rule
 // `serve-hot-path-blocking` forbids blocking primitives anywhere in

@@ -29,21 +29,14 @@ struct Shard {
 }  // namespace
 
 FleetTracker::FleetTracker(FleetConfig config) : config_(std::move(config)) {
-  if (config_.deployment.n_surfaces == 0)
-    throw std::invalid_argument{"FleetTracker: need >= 1 surface"};
+  config_.deployment.validate();
   if (config_.loop.dt_s <= 0.0)
     throw std::invalid_argument{"FleetTracker: loop tick must be positive"};
-  if (!config_.deployment.layout.empty()) {
-    if (config_.deployment.layout.positions.size() !=
-        config_.deployment.n_surfaces)
-      throw std::invalid_argument{
-          "FleetTracker: layout.positions.size() must equal n_surfaces"};
-    if (config_.faults)
-      throw std::invalid_argument{
-          "FleetTracker: a fault plan cannot run on a city layout (moving a "
-          "device to another mount needs its link plant rebuilt for the new "
-          "serving distance and scene)"};
-  }
+  if (!config_.deployment.layout.empty() && config_.faults)
+    throw std::invalid_argument{
+        "FleetTracker: a fault plan cannot run on a city layout (moving a "
+        "device to another mount needs its link plant rebuilt for the new "
+        "serving distance and scene)"};
   if (config_.faults) fault::validate(*config_.faults);
 }
 

@@ -113,11 +113,10 @@ struct FleetReport {
 
 class FleetTracker {
  public:
-  /// Throws std::invalid_argument when the deployment has no surfaces, a
-  /// non-positive loop tick, a layout whose size differs from n_surfaces,
-  /// or a layout combined with a fault plan (moving a city device to
-  /// another mount would need a rebuilt link plant); fault::validate's
-  /// error on an invalid plan.
+  /// Throws what config.deployment.validate() throws, std::invalid_argument
+  /// on a non-positive loop tick or a layout combined with a fault plan
+  /// (moving a city device to another mount would need a rebuilt link
+  /// plant), and fault::validate's error on an invalid plan.
   explicit FleetTracker(FleetConfig config);
 
   /// Tracks every device for `ticks` steps (sharded over

@@ -172,14 +172,24 @@ TEST(PropagationSceneRevision, MutationsBumpRevision) {
   const std::uint64_t r2 = scene.revision();
   scene.set_rx_antenna(Antenna::omni_6dbi(Angle::degrees(45.0)));
   EXPECT_GT(scene.revision(), r2);
-  const std::uint64_t r3 = scene.revision();
-  LeakageSurfaceSpec leak;
-  EXPECT_EQ(scene.add_leakage_surface(leak), 1u);
-  EXPECT_GT(scene.revision(), r3);
-  // Leakage ids precede relay ids; adding a leakage surface under an
-  // existing relay would renumber it, so the scene refuses.
-  EXPECT_EQ(scene.add_relay_surface(RelaySurfaceSpec{}), 2u);
-  EXPECT_THROW((void)scene.add_leakage_surface(leak), std::logic_error);
+
+  // Surfaces are fixed at construction: from_spec builds every one with no
+  // revision bump, leakage ids before relay ids.
+  SceneSpec spec;
+  spec.leakage.emplace_back();
+  spec.relays.emplace_back();
+  const PropagationScene built = PropagationScene::from_spec(
+      Antenna::directional_10dbi(Angle::degrees(0.0)),
+      Antenna::directional_10dbi(Angle::degrees(90.0)),
+      transmissive_geometry(), Environment::absorber_chamber(), spec);
+  EXPECT_EQ(built.revision(), 0u);
+  EXPECT_EQ(built.structural_revision(), 0u);
+  ASSERT_EQ(built.surface_count(), 3u);
+  ASSERT_EQ(built.paths().size(), 3u);
+  EXPECT_EQ(built.paths()[1].kind, PathKind::kLeakage);
+  EXPECT_EQ(built.paths()[1].surfaces, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(built.paths()[2].kind, PathKind::kRelay);
+  EXPECT_EQ(built.paths()[2].surfaces, (std::vector<std::size_t>{0, 2}));
 }
 
 // structural_revision() tracks every mutation EXCEPT set_rx_antenna: the
@@ -187,10 +197,13 @@ TEST(PropagationSceneRevision, MutationsBumpRevision) {
 // codebook config-hash prefix) must stay warm across those rounds while
 // still invalidating on genuine structural drift.
 TEST(PropagationSceneRevision, RxAntennaDoesNotBumpStructuralRevision) {
-  PropagationScene scene = PropagationScene::single_link(
+  SceneSpec spec;
+  spec.leakage.emplace_back();
+  spec.relays.emplace_back();
+  PropagationScene scene = PropagationScene::from_spec(
       Antenna::directional_10dbi(Angle::degrees(0.0)),
       Antenna::directional_10dbi(Angle::degrees(90.0)),
-      transmissive_geometry(), Environment::absorber_chamber());
+      transmissive_geometry(), Environment::absorber_chamber(), spec);
   const std::uint64_t s0 = scene.structural_revision();
   scene.set_rx_antenna(Antenna::omni_6dbi(Angle::degrees(45.0)));
   EXPECT_EQ(scene.structural_revision(), s0);  // fast path stays memo-warm
@@ -200,12 +213,6 @@ TEST(PropagationSceneRevision, RxAntennaDoesNotBumpStructuralRevision) {
   const std::uint64_t s1 = scene.structural_revision();
   scene.set_tx_antenna(Antenna::omni_6dbi(Angle::degrees(0.0)));
   EXPECT_GT(scene.structural_revision(), s1);
-  const std::uint64_t s2 = scene.structural_revision();
-  EXPECT_EQ(scene.add_leakage_surface(LeakageSurfaceSpec{}), 1u);
-  EXPECT_GT(scene.structural_revision(), s2);
-  const std::uint64_t s3 = scene.structural_revision();
-  EXPECT_EQ(scene.add_relay_surface(RelaySurfaceSpec{}), 2u);
-  EXPECT_GT(scene.structural_revision(), s3);
 }
 
 TEST(PropagationSceneRevision, MidRunSetGeometryInvalidatesStalePlans) {
@@ -376,59 +383,41 @@ TEST(PropagationSceneLeakage, FrozenSweepWithExternalsMatchesFullEval) {
 // Bulk scene construction + placed city paths + per-cell refreeze.
 // ---------------------------------------------------------------------------
 
-TEST(PropagationSceneBulk, BulkLeakageAddIsOneRebuildNotM) {
+TEST(PropagationSceneBulk, FromSpecBuildsEveryLeakageSurfaceAtConstruction) {
   const LinkGeometry g = transmissive_geometry();
   const Environment env = Environment::absorber_chamber();
   const Antenna ant = Antenna::iot_dipole(Angle::degrees(0.0));
 
   constexpr std::size_t kM = 24;
-  std::vector<LeakageSurfaceSpec> specs(kM);
-  for (std::size_t i = 0; i < kM; ++i)
-    specs[i].lateral_offset_m = 0.3 + 0.05 * static_cast<double>(i);
-
-  // Incremental: one revision bump (and one O(paths) rebuild) per surface
-  // — the O(M^2) construction this regression test pins down.
-  PropagationScene incremental =
-      PropagationScene::single_link(ant, ant, g, env);
-  const std::uint64_t inc_r0 = incremental.revision();
-  for (const LeakageSurfaceSpec& s : specs)
-    (void)incremental.add_leakage_surface(s);
-  EXPECT_EQ(incremental.revision(), inc_r0 + kM);
-
-  // Bulk: the whole batch is ONE rebuild, whatever M is.
-  PropagationScene bulk = PropagationScene::single_link(ant, ant, g, env);
-  const std::uint64_t bulk_r0 = bulk.revision();
-  const std::size_t first = bulk.add_leakage_surfaces(specs);
-  EXPECT_EQ(first, 1u);
-  EXPECT_EQ(bulk.revision(), bulk_r0 + 1);
-  EXPECT_EQ(bulk.surface_count(), incremental.surface_count());
-
-  // And from_spec builds the whole scene at construction: ZERO
-  // post-construction rebuilds, whatever M is.
   SceneSpec spec;
-  spec.leakage = specs;
-  const PropagationScene from_spec =
+  spec.leakage.resize(kM);
+  for (std::size_t i = 0; i < kM; ++i) {
+    spec.leakage[i].lateral_offset_m = 0.3 + 0.05 * static_cast<double>(i);
+    spec.leakage[i].coupling = 0.1 + 0.01 * static_cast<double>(i);
+  }
+
+  // The whole scene is built at construction, in one path-table build:
+  // ZERO revision bumps, whatever M is.
+  const PropagationScene scene =
       PropagationScene::from_spec(ant, ant, g, env, spec);
-  EXPECT_EQ(from_spec.revision(), 0u);
+  EXPECT_EQ(scene.revision(), 0u);
+  ASSERT_EQ(scene.surface_count(), kM + 1);
+  // Spec order is id order: leakage surface i is scene surface i + 1, its
+  // path after the transmissive home path, farther out as its offset grows.
+  ASSERT_EQ(scene.paths().size(), kM + 1);
+  for (std::size_t i = 0; i < kM; ++i) {
+    const PropagationPath& path = scene.paths()[i + 1];
+    EXPECT_EQ(path.kind, PathKind::kLeakage);
+    EXPECT_EQ(path.surfaces, (std::vector<std::size_t>{i + 1}));
+    EXPECT_EQ(path.coupling_scale, spec.leakage[i].coupling);
+    if (i > 0) EXPECT_GT(path.length_m, scene.paths()[i].length_m);
+  }
 
-  // All three spell out the identical physics.
-  const std::vector<em::JonesMatrix> samples =
-      response_samples(metasurface::SurfaceMode::kTransmissive);
-  std::vector<const em::JonesMatrix*> view(kM + 1, nullptr);
-  for (std::size_t i = 0; i <= kM; ++i)
-    view[i] = &samples[i % samples.size()];
-  const PropagationScene::ResponseView rv{view.data(), view.size()};
-  EXPECT_DOUBLE_EQ(incremental.received_power(kTx, kF0, rv).value(),
-                   bulk.received_power(kTx, kF0, rv).value());
-  EXPECT_DOUBLE_EQ(bulk.received_power(kTx, kF0, rv).value(),
-                   from_spec.received_power(kTx, kF0, rv).value());
-
-  // Adding an empty batch is free: ids and revision are untouched.
-  PropagationScene empty_batch =
-      PropagationScene::single_link(ant, ant, g, env);
-  const std::uint64_t r0 = empty_batch.revision();
-  EXPECT_EQ(empty_batch.add_leakage_surfaces({}), 1u);
-  EXPECT_EQ(empty_batch.revision(), r0);
+  // An empty spec is the single link.
+  const PropagationScene bare =
+      PropagationScene::from_spec(ant, ant, g, env, SceneSpec{});
+  EXPECT_EQ(bare.surface_count(), 1u);
+  EXPECT_EQ(bare.paths().size(), 1u);
 }
 
 TEST(PropagationSceneBulk, PlacedPathsCarryExplicitLengthAndCell) {

@@ -10,6 +10,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/codebook/compiler.h"
@@ -260,6 +261,23 @@ TEST(ServeRuntime, LifecycleAndValidationContracts) {
   EXPECT_EQ(report.submitted, 0u);
   EXPECT_THROW(runtime.start(), std::logic_error);  // one-shot
   EXPECT_THROW((void)runtime.submit(request), std::logic_error);
+}
+
+// The serving fleet compiles a ring-model codebook and builds ring-model
+// plants, so a city layout it would silently ignore is rejected, naming
+// the field.
+TEST(ServeRuntime, BuildServingFleetRejectsALayout) {
+  core::ServingScenario scenario = small_scenario();
+  scenario.config.layout = core::city_scale_scenario(2, 1).config.layout;
+  ASSERT_EQ(scenario.config.layout.positions.size(),
+            scenario.config.n_surfaces);
+  try {
+    (void)make_fleet(scenario);
+    ADD_FAILURE() << "a non-empty layout was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("layout"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
