@@ -191,4 +191,23 @@ inline constexpr double kTransmissive80cmDbm[25] = {
     -0x1.57e77fd0faffbp+5,
 };
 
+/// Frozen-sweep received power [dBm] of the default transmissive link
+/// (0.42 m, surface at 0.21 m) in the laboratory drawn from Rng{17}, after
+/// set_rx_antenna(Antenna::omni_6dbi(45 deg)) on a scene built with the
+/// 10 dBi receiver at 90 deg; the freeze is taken after the swap. Same 25
+/// responses as kRx90Dbm. Recorded from PropagationScene itself (not the
+/// retired single-link model), while the scene still derived its receive
+/// side per cell.
+inline constexpr double kOmni45AfterSetRxDbm[25] = {
+    -0x1.f335790feab1ap+4, -0x1.8f9857d5041dcp+4, -0x1.85ef257fb329ap+4,
+    -0x1.8fe5d434c668ep+4, -0x1.9cd347eb979fcp+4, -0x1.0041e7465df0ep+5,
+    -0x1.a108097615e59p+4, -0x1.74a4d561e4e04p+4, -0x1.6aff67dc878cfp+4,
+    -0x1.6ab16e3ee7a57p+4, -0x1.f569cb498575ap+4, -0x1.f584da79a55acp+4,
+    -0x1.9ebdf7e8ce76ep+4, -0x1.859d8bb457665p+4, -0x1.7d17cbf136cbp+4,
+    -0x1.eae746dc91a54p+4, -0x1.34f1f607f7118p+5, -0x1.ce90164987962p+4,
+    -0x1.a741171611c1ap+4, -0x1.985e03d2c4042p+4, -0x1.e7063aeb8dee4p+4,
+    -0x1.921294fe7ed45p+5, -0x1.f898842f479f6p+4, -0x1.c4b71b684690cp+4,
+    -0x1.b0ca497f68c38p+4,
+};
+
 }  // namespace llama::channel::pins

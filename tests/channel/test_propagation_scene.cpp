@@ -262,6 +262,37 @@ TEST(PropagationSceneRevision, AntennaMutationsAlsoInvalidate) {
                std::logic_error);
 }
 
+TEST(PropagationSceneRevision, FreezeAfterSetRxAntennaMatchesFreshScene) {
+  // A freeze taken after set_rx_antenna must see the new receiver only:
+  // the plane equals, bit for bit, that of a scene built with the new
+  // antenna from the start, and both match the pinned plane.
+  common::Rng rng{17};
+  const Environment env = Environment::laboratory(rng);
+  const LinkGeometry g = transmissive_geometry();
+  const Antenna tx = Antenna::directional_10dbi(Angle::degrees(0.0));
+  const Antenna omni = Antenna::omni_6dbi(Angle::degrees(45.0));
+  PropagationScene swapped = PropagationScene::single_link(
+      tx, Antenna::directional_10dbi(Angle::degrees(90.0)), g, env);
+  swapped.set_rx_antenna(omni);
+  const PropagationScene fresh =
+      PropagationScene::single_link(tx, omni, g, env);
+  const PropagationScene::FrozenEval swapped_fz = swapped.freeze_except(
+      PropagationScene::kHomeSurface, kTx, kF0,
+      PropagationScene::ResponseView{});
+  const PropagationScene::FrozenEval fresh_fz = fresh.freeze_except(
+      PropagationScene::kHomeSurface, kTx, kF0,
+      PropagationScene::ResponseView{});
+  const std::vector<em::JonesMatrix> samples = response_samples(g.mode);
+  ASSERT_EQ(samples.size(), 25u);
+  for (std::size_t k = 0; k < samples.size(); ++k) {
+    const double got =
+        swapped.received_power_swept(swapped_fz, samples[k]).value();
+    EXPECT_EQ(got, fresh.received_power_swept(fresh_fz, samples[k]).value())
+        << "sample " << k;
+    EXPECT_NEAR(got, pins::kOmni45AfterSetRxDbm[k], kTol) << "sample " << k;
+  }
+}
+
 // ---- Multi-surface topologies.
 
 TEST(PropagationSceneLeakage, AbsentLeakageSurfaceIsSingleLink) {

@@ -6,6 +6,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "tests/radio/receiver_pins.h"
+
 namespace llama::radio {
 namespace {
 
@@ -121,6 +123,30 @@ TEST(Receiver, MinusInfinitySignalMeansPureNoise) {
   const double floor = rx.noise_floor_dbm().value();
   EXPECT_NEAR(rx.measure(PowerDbm{-inf}, 0.05).value(), floor, 1.0);
   EXPECT_NEAR(rx.expected_measure(PowerDbm{-inf}).value(), floor, 1e-9);
+}
+
+TEST(ReceiverPins, ExpectedMeasureMatchesPinnedFloors) {
+  ReceiverConfig other;
+  other.noise_figure = common::GainDb{4.5};
+  other.noise_bandwidth = common::Frequency::mhz(1.25);
+  const ReceiverConfig configs[2] = {ReceiverConfig{}, other};
+  for (std::size_t c = 0; c < 2; ++c) {
+    const Receiver rx{configs[c], Rng{0}};
+    for (std::size_t k = 0; k < 5; ++k)
+      EXPECT_NEAR(rx.expected_measure(PowerDbm{pins::kSignalDbm[k]}).value(),
+                  pins::kExpectedMeasureDbm[c][k], 1e-12)
+          << "config " << c << " signal " << pins::kSignalDbm[k];
+  }
+}
+
+TEST(ReceiverPins, CaptureMatchesPinnedSamples) {
+  Receiver rx = make_rx(7);
+  const IqCapture iq = rx.capture(PowerDbm{-70.0}, 3);
+  ASSERT_EQ(iq.samples.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_NEAR(iq.samples[i].real(), pins::kCaptureSeed7[2 * i], 1e-12);
+    EXPECT_NEAR(iq.samples[i].imag(), pins::kCaptureSeed7[2 * i + 1], 1e-12);
+  }
 }
 
 }  // namespace
