@@ -92,49 +92,10 @@ BenchResult run_bench(std::string name, Fn&& op, double min_time_s = 0.2,
   return result;
 }
 
-/// run_bench with PER-OPERATION latency recording: each call of `op` is
-/// timed individually into a log2 histogram, so the result carries a real
-/// latency distribution (p50/p99/p999) instead of only the mean that
-/// aggregate timing can report. Costs two clock reads per op — use
-/// run_bench for sub-microsecond ops where that overhead would dominate.
-struct LatencyBenchResult {
-  BenchResult timing;
-  serve::LatencyHistogram latency;
-};
-
-template <typename Fn>
-LatencyBenchResult run_latency_bench(std::string name, Fn&& op,
-                                     double min_time_s = 0.2,
-                                     long min_iterations = 3) {
-  using clock = std::chrono::steady_clock;
-  op();  // warmup: touch caches, build lazy plans
-  LatencyBenchResult result;
-  long iterations = 0;
-  const clock::time_point start = clock::now();
-  double elapsed_s = 0.0;
-  do {
-    const clock::time_point before = clock::now();
-    op();
-    const clock::time_point after = clock::now();
-    result.latency.record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(after - before)
-            .count()));
-    ++iterations;
-    elapsed_s = std::chrono::duration<double>(after - start).count();
-  } while (elapsed_s < min_time_s || iterations < min_iterations);
-  result.timing.name = std::move(name);
-  result.timing.iterations = iterations;
-  result.timing.ns_per_op =
-      elapsed_s * 1e9 / static_cast<double>(iterations);
-  result.timing.ops_per_s = static_cast<double>(iterations) / elapsed_s;
-  return result;
-}
-
 /// Stable latency keys as an extra_json fragment (starts with a comma):
 /// ,"p50_us":...,"p99_us":...,"p999_us":... — shared by every bench that
-/// reports a latency distribution (run_latency_bench results and the
-/// serving runtime's merged request histogram alike), so CI gates can parse
-/// one spelling everywhere.
+/// reports a latency distribution (the serving runtime's merged request
+/// histograms), so CI gates can parse one spelling everywhere.
 inline std::string latency_extra_json(const serve::LatencyHistogram& h) {
   char buf[128];
   std::snprintf(buf, sizeof(buf),
@@ -156,9 +117,26 @@ inline std::string threads_extra_json(int threads) {
   return buf;
 }
 
+/// An extra_json fragment as text: ,"a":1.5,"b":true -> a=1.5 b=true.
+/// Extras carry numbers and booleans only, so no value holds a quote,
+/// comma or colon.
+inline std::string extra_as_text(const std::string& extra_json) {
+  std::string text;
+  for (const char c : extra_json) {
+    if (c == '"') continue;
+    if (c == ',') {
+      if (!text.empty()) text += ' ';
+      continue;
+    }
+    text += c == ':' ? '=' : c;
+  }
+  return text;
+}
+
 /// Prints one result: a JSON line in json mode, aligned text otherwise.
 /// `extra_json` (optional) is appended inside the JSON object and must
-/// start with a comma, e.g. ",\"speedup_vs_unbatched\":12.5". When an
+/// start with a comma, e.g. ",\"speedup_vs_unbatched\":12.5"; text mode
+/// prints the same keys as key=value on an indented line below. When an
 /// `--out` file is open (see parse_args) the JSON line is also appended
 /// there, whatever the console mode.
 inline void print_result(const BenchResult& r, bool json,
@@ -169,24 +147,14 @@ inline void print_result(const BenchResult& r, bool json,
   } else {
     std::printf("%-36s %14.1f ns/op %14.1f ops/s   (%ld iters)\n",
                 r.name.c_str(), r.ns_per_op, r.ops_per_s, r.iterations);
+    if (!extra_json.empty())
+      std::printf("%-36s %s\n", "", extra_as_text(extra_json).c_str());
   }
   if (out_stream() != nullptr) {
     std::fprintf(out_stream(),
                  "{\"name\":\"%s\",\"ns_per_op\":%.1f,\"probes_per_s\":%.1f%s}\n",
                  r.name.c_str(), r.ns_per_op, r.ops_per_s, extra_json.c_str());
     std::fflush(out_stream());
-  }
-}
-
-/// print_result for a latency bench: the usual throughput keys plus the
-/// latency_extra_json percentile keys (and any caller extras after them).
-inline void print_latency_result(const LatencyBenchResult& r, bool json,
-                                 const std::string& extra_json = "") {
-  print_result(r.timing, json, latency_extra_json(r.latency) + extra_json);
-  if (!json) {
-    std::printf("%-36s %10.2f us p50 %10.2f us p99 %10.2f us p999\n", "",
-                r.latency.p50_ns() / 1e3, r.latency.p99_ns() / 1e3,
-                r.latency.p999_ns() / 1e3);
   }
 }
 

@@ -298,19 +298,26 @@ em::JonesVector PropagationScene::field_at_receiver(
   return field_at_receiver(tx_power, f, ResponseView{&ptr, 1});
 }
 
+PropagationScene::ReceiveSide PropagationScene::receive_side() const {
+  return ReceiveSide{rx_.polarization().jones(),
+                     rx_.boresight_gain().linear(),
+                     env_.interference_floor().to_mw().value()};
+}
+
 common::PowerDbm PropagationScene::power_from_field(
-    const em::JonesVector& field) const {
-  const double plf = rx_.polarization().match(field);
-  double p_mw = field.power() * plf * rx_.boresight_gain().linear();
+    const em::JonesVector& field, const ReceiveSide& rx) {
+  const double plf = field.polarization_match(rx.state);
+  double p_mw = field.power() * plf * rx.gain;
   // Ambient in-band interference adds incoherently at the receiver.
-  p_mw += env_.interference_floor().to_mw().value();
+  p_mw += rx.interference_mw;
   return common::PowerMw{std::max(p_mw, 1e-15)}.to_dbm();
 }
 
 common::PowerDbm PropagationScene::received_power(
     common::PowerDbm tx_power, common::Frequency f,
     ResponseView responses) const {
-  return power_from_field(field_at_receiver(tx_power, f, responses));
+  return power_from_field(field_at_receiver(tx_power, f, responses),
+                          receive_side());
 }
 
 common::PowerDbm PropagationScene::received_power_with_response(
@@ -352,6 +359,7 @@ PropagationScene::FrozenEval PropagationScene::freeze_except(
   fz.revision = revision_;
   fz.frequency_hz = f.in_hz();
   fz.tx_state = launch_state(tx_power);
+  fz.rx = receive_side();
   fz.fixed_field = JonesVector{Complex{0.0, 0.0}, Complex{0.0, 0.0}};
 
   // Per-cell bucket lookup in first-encounter path order — a pure function
@@ -456,7 +464,7 @@ common::PowerDbm PropagationScene::received_power_swept(
     field = combine_multipath(field, frozen.tx_state,
                               frozen.ray_ref_base * ray_scale, env_);
   }
-  return power_from_field(field);
+  return power_from_field(field, frozen.rx);
 }
 
 void PropagationScene::refreeze_cells(FrozenEval& frozen,

@@ -19,7 +19,9 @@
 //    only that surface's paths per candidate response; every other path's
 //    contribution is summed once into a FrozenEval. This keeps per-cell
 //    sweep cost identical to the single-link hot path regardless of how
-//    many surfaces the scene carries.
+//    many surfaces the scene carries. The freeze also records the receive
+//    side (rx Jones state, rx gain, interference floor), so a cell computes
+//    none of the scene's per-freeze constants.
 //  - Revision counter: every mutation (geometry, endpoint antennas) bumps
 //    revision(). A FrozenEval records the revision it was built against
 //    and evaluation throws std::logic_error when the scene has moved on — a
@@ -244,13 +246,26 @@ class PropagationScene {
                                            common::Frequency f,
                                            ResponseView responses) const;
 
+  /// What turns a field at the receiver into a received power: the rx
+  /// antenna's Jones state, its boresight gain (linear) and the
+  /// environment's interference floor [mW].
+  struct ReceiveSide {
+    em::JonesVector state;
+    double gain = 1.0;
+    double interference_mw = 0.0;
+  };
+
   /// Precomputed state for sweeping one surface's response: every path not
   /// traversing the swept surface is summed once into fixed_field; each
   /// swept path keeps its complex scale, pre-applied launch state and
-  /// (for relays) the frozen post-cascade.
+  /// (for relays) the frozen post-cascade. The receive side is recorded
+  /// too, so a swept cell pays only for its own paths' Jones math and the
+  /// dBm conversion; it cannot go stale unnoticed, since set_rx_antenna
+  /// bumps the revision like every other mutation.
   struct FrozenEval {
     std::uint64_t revision = 0;
     em::JonesVector tx_state;
+    ReceiveSide rx;
     /// Frozen contributions of paths with no spatial cell (ring-model
     /// leakage, relays, the direct path).
     em::JonesVector fixed_field;
@@ -339,8 +354,11 @@ class PropagationScene {
                                         em::JonesVector& out) const;
 
   [[nodiscard]] em::JonesVector launch_state(common::PowerDbm tx_power) const;
-  [[nodiscard]] common::PowerDbm power_from_field(
-      const em::JonesVector& field) const;
+  [[nodiscard]] ReceiveSide receive_side() const;
+  /// Field -> polarization match -> rx gain -> plus the interference
+  /// floor: the one power body of the pointwise and the swept paths.
+  [[nodiscard]] static common::PowerDbm power_from_field(
+      const em::JonesVector& field, const ReceiveSide& rx);
   /// friis(los) * endpoint suppression — the multipath reference before
   /// any surface transmission scale.
   [[nodiscard]] double multipath_reference(common::Frequency f) const;

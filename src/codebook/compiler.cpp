@@ -1,14 +1,17 @@
 #include "src/codebook/compiler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/common/contracts.h"
 #include "src/common/math_utils.h"
 #include "src/common/parallel.h"
 #include "src/common/serde.h"
+#include "src/control/power_supply.h"
 
 namespace llama::codebook {
 
@@ -144,7 +147,46 @@ CodebookCompiler::CodebookCompiler(core::SystemConfig config,
                                    metasurface::Metasurface surface)
     : config_(std::move(config)), surface_(std::move(surface)) {}
 
+void CompilerOptions::validate() const {
+  const auto require = [](bool ok, const char* rule) {
+    if (!ok)
+      throw std::invalid_argument{std::string{"CompilerOptions: "} + rule};
+  };
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  // A stepped axis derives its count and needs max >= min; a count-based
+  // axis needs a point and, past one, max > min.
+  require(positive(f_min.in_hz()), "f_min must be finite and > 0 Hz");
+  require(positive(f_max.in_hz()), "f_max must be finite and > 0 Hz");
+  require(!f_step_hz || positive(*f_step_hz),
+          "f_step_hz must be finite and > 0");
+  require(f_step_hz || n_frequencies > 0, "n_frequencies must be >= 1");
+  require(f_step_hz ? f_max.in_hz() >= f_min.in_hz()
+                    : n_frequencies == 1 || f_max.in_hz() > f_min.in_hz(),
+          "f_max must exceed f_min");
+  require(std::isfinite(orientation_min.rad()),
+          "orientation_min must be finite");
+  require(std::isfinite(orientation_max.rad()),
+          "orientation_max must be finite");
+  require(!orientation_step || positive(orientation_step->rad()),
+          "orientation_step must be finite and > 0");
+  require(orientation_step || n_orientations > 0,
+          "n_orientations must be >= 1");
+  require(orientation_step
+              ? orientation_max.rad() >= orientation_min.rad()
+              : n_orientations == 1 ||
+                    orientation_max.rad() > orientation_min.rad(),
+          "orientation_max must exceed orientation_min");
+  require(positive(v_step.value()), "v_step must be finite and > 0 V");
+  require(std::isfinite(v_min.value()) && v_min.value() >= 0.0,
+          "v_min must be finite and >= 0 V");
+  require(std::isfinite(v_max.value()) &&
+              v_max.value() <= control::PowerSupply{}.max_voltage().value(),
+          "v_max must be finite and <= the supply's 30 V maximum");
+  require(v_min.value() <= v_max.value(), "v_min must not exceed v_max");
+}
+
 Codebook CodebookCompiler::compile(const CompilerOptions& options) const {
+  options.validate();
   // Realize the lattice axes. A step-based axis is generated with
   // common::stepped_range — the same index-based grid the online sweeps
   // use (every point is min + i * step, never accumulated) — and its
@@ -156,9 +198,6 @@ Codebook CodebookCompiler::compile(const CompilerOptions& options) const {
   if (options.f_step_hz) {
     const std::vector<double> pts =
         common::stepped_range(f_min_hz, f_max_hz, *options.f_step_hz);
-    if (pts.empty())
-      throw std::invalid_argument{
-          "codebook compile: degenerate stepped frequency axis"};
     n_f = pts.size();
     f_max_hz = pts.back();
   }
@@ -168,25 +207,12 @@ Codebook CodebookCompiler::compile(const CompilerOptions& options) const {
   if (options.orientation_step) {
     const std::vector<double> pts = common::stepped_range(
         o_min_rad, o_max_rad, options.orientation_step->rad());
-    if (pts.empty())
-      throw std::invalid_argument{
-          "codebook compile: degenerate stepped orientation axis"};
     n_o = pts.size();
     o_max_rad = pts.back();
   }
-  if (n_f == 0 || n_o == 0)
-    throw std::invalid_argument{"codebook compile: empty lattice axis"};
-  if (n_f > 1 && !(f_max_hz > f_min_hz))
-    throw std::invalid_argument{
-        "codebook compile: frequency axis needs f_max > f_min"};
-  if (n_o > 1 && !(o_max_rad > o_min_rad))
-    throw std::invalid_argument{
-        "codebook compile: orientation axis needs max > min"};
 
   const std::vector<double> vxs = common::stepped_range(
       options.v_min.value(), options.v_max.value(), options.v_step.value());
-  if (vxs.empty())
-    throw std::invalid_argument{"codebook compile: empty bias grid"};
   const std::vector<double>& vys = vxs;
   const std::size_t grid_cells = vxs.size() * vys.size();
 

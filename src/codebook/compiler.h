@@ -59,6 +59,13 @@ struct CompilerOptions {
   /// Worker threads for the response-grid rows and the orientation shard
   /// (<= 0 picks the default). Results are byte-identical for any value.
   int threads = 0;
+
+  /// Throws std::invalid_argument naming the field unless: frequencies and
+  /// steps are finite and positive; orientation bounds are finite; each
+  /// axis is non-empty (max >= min for a stepped axis, max > min for a
+  /// count-based axis of more than one point); and v_min <= v_max within
+  /// the supply's [0, 30] V.
+  void validate() const;
 };
 
 /// Hash of the compile-relevant link parameters. The receive antenna's
@@ -126,7 +133,7 @@ class CodebookCompiler {
   /// bias plane; per (frequency, orientation) cell, the arg-max bias pair
   /// (scan-order tie-breaking, matching FullGridSweep) plus the top-K
   /// runner-ups. Deterministic: byte-identical cells for any thread count.
-  /// Throws std::invalid_argument on degenerate options.
+  /// Runs options.validate() before any work.
   [[nodiscard]] Codebook compile(const CompilerOptions& options = {}) const;
 
   [[nodiscard]] const core::SystemConfig& config() const { return config_; }

@@ -9,8 +9,26 @@
 
 namespace llama::radio {
 
+void ReceiverConfig::validate() const {
+  const auto require = [](bool ok, const char* rule) {
+    if (!ok)
+      throw std::invalid_argument{std::string{"ReceiverConfig: "} + rule};
+  };
+  require(std::isfinite(sample_rate_hz) && sample_rate_hz > 0.0,
+          "sample_rate_hz must be finite and > 0");
+  require(std::isfinite(tone_offset_hz), "tone_offset_hz must be finite");
+  require(std::isfinite(noise_figure.value()),
+          "noise_figure must be finite");
+  require(std::isfinite(noise_bandwidth.in_hz()) &&
+              noise_bandwidth.in_hz() > 0.0,
+          "noise_bandwidth must be finite and > 0");
+}
+
 Receiver::Receiver(ReceiverConfig config, common::Rng rng)
-    : config_(config), rng_(rng) {}
+    : config_(config), rng_(rng) {
+  config_.validate();
+  noise_mw_ = noise_floor_dbm().to_mw().value();
+}
 
 common::PowerDbm Receiver::noise_floor_dbm() const {
   return channel::noise_floor(config_.noise_bandwidth, config_.noise_figure);
@@ -42,8 +60,7 @@ IqCapture Receiver::capture(common::PowerDbm signal_power, int n,
   const double amp = std::sqrt(p_mw);
   // Complex AWGN with total power equal to the noise floor: each quadrature
   // carries half.
-  const double n_mw = noise_floor_dbm().to_mw().value();
-  const double sigma = std::sqrt(n_mw / 2.0);
+  const double sigma = std::sqrt(noise_mw_ / 2.0);
   const double w = 2.0 * common::kPi * config_.tone_offset_hz;
   const double dt = 1.0 / config_.sample_rate_hz;
   for (int i = 0; i < n; ++i) {
@@ -69,8 +86,7 @@ common::PowerDbm Receiver::expected_measure(
     common::PowerDbm signal_power) const {
   require_real_signal(signal_power, "Receiver::expected_measure");
   const double p_mw = signal_power.to_mw().value();
-  const double n_mw = noise_floor_dbm().to_mw().value();
-  return common::PowerMw{std::max(p_mw + n_mw, 1e-15)}.to_dbm();
+  return common::PowerMw{std::max(p_mw + noise_mw_, 1e-15)}.to_dbm();
 }
 
 common::PowerDbm Receiver::measure(common::PowerDbm signal_power,

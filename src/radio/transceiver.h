@@ -23,6 +23,11 @@ struct ReceiverConfig {
   double tone_offset_hz = 500e3;      ///< paper: tone over 500 kHz
   common::GainDb noise_figure{7.0};   ///< typical UBX-40 front end
   common::Frequency noise_bandwidth = common::Frequency::khz(500.0);
+
+  /// Throws std::invalid_argument naming the field unless sample_rate_hz
+  /// and noise_bandwidth are finite and positive and tone_offset_hz and
+  /// noise_figure are finite.
+  void validate() const;
 };
 
 /// A block of complex baseband samples with its sampling metadata.
@@ -47,6 +52,8 @@ struct IqCapture {
 /// outage accounting as non-finite power.
 class Receiver {
  public:
+  /// Runs config.validate(), then computes the thermal floor once: every
+  /// measurement reuses it.
   explicit Receiver(ReceiverConfig config, common::Rng rng);
 
   [[nodiscard]] const ReceiverConfig& config() const { return config_; }
@@ -85,6 +92,7 @@ class Receiver {
  private:
   ReceiverConfig config_;
   common::Rng rng_;
+  double noise_mw_ = 0.0;  ///< noise_floor_dbm() in mW
 };
 
 }  // namespace llama::radio

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "src/common/math_utils.h"
 #include "src/control/power_supply.h"
 #include "src/control/sweep.h"
@@ -95,6 +101,70 @@ TEST(CodebookCompiler, RejectsDegenerateOptions) {
   CompilerOptions bad_grid = small_options();
   bad_grid.v_step = Voltage{-1.0};
   EXPECT_THROW((void)compiler.compile(bad_grid), std::invalid_argument);
+}
+
+TEST(CompilerOptions, CompileRejectsAnInvalidOptionNamingTheField) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Rule {
+    const char* field;
+    std::function<void(CompilerOptions&)> break_options;
+  };
+  const std::vector<Rule> rules = {
+      {"f_min", [](CompilerOptions& o) { o.f_min = Frequency{-1.0}; }},
+      {"f_min", [&](CompilerOptions& o) { o.f_min = Frequency{nan}; }},
+      {"f_max", [&](CompilerOptions& o) { o.f_max = Frequency{inf}; }},
+      {"f_max", [](CompilerOptions& o) { o.n_frequencies = 3; }},
+      {"f_max",
+       [](CompilerOptions& o) {
+         o.f_step_hz = 1e6;
+         o.f_max = Frequency::ghz(2.0);
+       }},
+      {"f_step_hz", [](CompilerOptions& o) { o.f_step_hz = 0.0; }},
+      {"f_step_hz", [&](CompilerOptions& o) { o.f_step_hz = nan; }},
+      {"n_frequencies", [](CompilerOptions& o) { o.n_frequencies = 0; }},
+      {"orientation_min",
+       [&](CompilerOptions& o) { o.orientation_min = Angle::radians(nan); }},
+      {"orientation_max",
+       [&](CompilerOptions& o) { o.orientation_max = Angle::radians(inf); }},
+      {"orientation_max",
+       [](CompilerOptions& o) { o.orientation_max = Angle::degrees(0.0); }},
+      {"orientation_step",
+       [](CompilerOptions& o) { o.orientation_step = Angle::degrees(-5.0); }},
+      {"n_orientations", [](CompilerOptions& o) { o.n_orientations = 0; }},
+      {"v_step", [&](CompilerOptions& o) { o.v_step = Voltage{nan}; }},
+      {"v_step", [](CompilerOptions& o) { o.v_step = Voltage{0.0}; }},
+      {"v_min", [](CompilerOptions& o) { o.v_min = Voltage{-5.0}; }},
+      {"v_min", [&](CompilerOptions& o) { o.v_min = Voltage{nan}; }},
+      {"v_max", [](CompilerOptions& o) { o.v_max = Voltage{60.0}; }},
+      {"v_max", [&](CompilerOptions& o) { o.v_max = Voltage{inf}; }},
+      {"v_min",
+       [](CompilerOptions& o) {
+         o.v_min = Voltage{20.0};
+         o.v_max = Voltage{10.0};
+       }},
+  };
+  const CodebookCompiler compiler{test_config()};
+  const CompilerOptions base = small_options();
+  EXPECT_NO_THROW(base.validate());
+  for (const Rule& rule : rules) {
+    CompilerOptions bad = base;
+    rule.break_options(bad);
+    std::string what;
+    try {
+      (void)compiler.compile(bad);
+    } catch (const std::invalid_argument& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find(rule.field), std::string::npos)
+        << "a bad " << rule.field << ": '" << what << "'";
+    try {
+      bad.validate();
+      ADD_FAILURE() << "validate() accepted a bad " << rule.field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(what, e.what());
+    }
+  }
 }
 
 TEST(ConfigHash, BindsCompileParametersButNotTheQueryAxes) {

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "src/core/llama_system.h"
 
 #include "tests/radio/receiver_pins.h"
 
@@ -123,6 +128,60 @@ TEST(Receiver, MinusInfinitySignalMeansPureNoise) {
   const double floor = rx.noise_floor_dbm().value();
   EXPECT_NEAR(rx.measure(PowerDbm{-inf}, 0.05).value(), floor, 1.0);
   EXPECT_NEAR(rx.expected_measure(PowerDbm{-inf}).value(), floor, 1e-9);
+}
+
+TEST(ReceiverConfig, ReceiverRejectsAnInvalidConfigNamingTheField) {
+  // Each rule once made expected_measure() return NaN (or throw from deep
+  // inside a sweep); the Receiver, and so every system that builds one,
+  // now rejects it at construction.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Rule {
+    const char* field;
+    std::function<void(ReceiverConfig&)> break_config;
+  };
+  const std::vector<Rule> rules = {
+      {"noise_bandwidth",
+       [](ReceiverConfig& c) { c.noise_bandwidth = common::Frequency{-5e5}; }},
+      {"noise_bandwidth",
+       [](ReceiverConfig& c) { c.noise_bandwidth = common::Frequency{0.0}; }},
+      {"noise_bandwidth",
+       [&](ReceiverConfig& c) { c.noise_bandwidth = common::Frequency{nan}; }},
+      {"noise_bandwidth",
+       [&](ReceiverConfig& c) { c.noise_bandwidth = common::Frequency{inf}; }},
+      {"sample_rate_hz", [](ReceiverConfig& c) { c.sample_rate_hz = 0.0; }},
+      {"sample_rate_hz", [](ReceiverConfig& c) { c.sample_rate_hz = -1e6; }},
+      {"sample_rate_hz", [&](ReceiverConfig& c) { c.sample_rate_hz = nan; }},
+      {"sample_rate_hz", [&](ReceiverConfig& c) { c.sample_rate_hz = inf; }},
+      {"noise_figure",
+       [&](ReceiverConfig& c) { c.noise_figure = common::GainDb{nan}; }},
+      {"noise_figure",
+       [&](ReceiverConfig& c) { c.noise_figure = common::GainDb{-inf}; }},
+      {"tone_offset_hz", [&](ReceiverConfig& c) { c.tone_offset_hz = nan; }},
+      {"tone_offset_hz", [&](ReceiverConfig& c) { c.tone_offset_hz = inf; }},
+  };
+  const auto rejection = [](const std::function<void()>& build) {
+    try {
+      build();
+    } catch (const std::invalid_argument& e) {
+      return std::string{e.what()};
+    }
+    return std::string{};
+  };
+  EXPECT_NO_THROW(ReceiverConfig{}.validate());
+  for (const Rule& rule : rules) {
+    ReceiverConfig bad;
+    rule.break_config(bad);
+    const std::string what =
+        rejection([&] { Receiver{bad, Rng{1}}; });
+    EXPECT_NE(what.find(rule.field), std::string::npos)
+        << "a bad " << rule.field << ": '" << what << "'";
+    EXPECT_EQ(rejection([&] { bad.validate(); }), what) << rule.field;
+    core::SystemConfig system;
+    system.receiver = bad;
+    EXPECT_EQ(rejection([&] { core::LlamaSystem{system}; }), what)
+        << rule.field;
+  }
 }
 
 TEST(ReceiverPins, ExpectedMeasureMatchesPinnedFloors) {
