@@ -172,8 +172,7 @@ TEST(ReceiverConfig, ReceiverRejectsAnInvalidConfigNamingTheField) {
   for (const Rule& rule : rules) {
     ReceiverConfig bad;
     rule.break_config(bad);
-    const std::string what =
-        rejection([&] { Receiver{bad, Rng{1}}; });
+    const std::string what = rejection([&] { Receiver{bad, Rng{1}}; });
     EXPECT_NE(what.find(rule.field), std::string::npos)
         << "a bad " << rule.field << ": '" << what << "'";
     EXPECT_EQ(rejection([&] { bad.validate(); }), what) << rule.field;
