@@ -2,13 +2,16 @@
 // from the original per-call solver that evaluated every board two-port
 // from scratch; the (f, vx, vy) overloads are now plan-then-evaluate
 // wrappers over the per-frequency plans, and must reproduce those bits
-// exactly. Covers both modes of every design in designs.h and the per-axis
-// S-parameters of the prototype's boards.
+// exactly. Covers both modes of every design in designs.h, hand-built
+// stacks for the cascade shapes the designs lack (two different tunable
+// boards, a repeated board rotated 30 deg, a tunable first element, no
+// tunable element), and the per-axis S-parameters of the prototype's boards.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -164,6 +167,106 @@ constexpr JonesGolden kJones[] = {
       -0x1.82af314613b84p-3, -0x1.17420a7073b73p-4}},
 };
 
+/// hand_built_stacks()[design] in the layout of kJones.
+constexpr JonesGolden kHandBuilt[] = {
+    {0, false, 2.4, 0.0, 30.0,
+     {-0x1.53eb74037d4b4p-3, -0x1.887f968d51a24p-8, -0x1.4168fe5d2f0edp-6,
+      -0x1.efd8928ebf1ep-3, 0x1.4168fe5d2f0ffp-6, 0x1.efd8928ebf1dfp-3,
+      0x1.6ade016044882p-2, -0x1.f7f27e7c099cep-6}},
+    {0, false, 2.44, 7.25, 13.5,
+     {-0x1.0b0f2714bad7cp-4, -0x1.55187f7a65b9dp-1, 0x1.b5da4f528fdfcp-5,
+      -0x1.7cde2244744a4p-3, -0x1.b5da4f528fdfcp-5, 0x1.7cde2244744a3p-3,
+      0x1.55ea7cd75237cp-2, -0x1.0734cc488115p-1}},
+    {0, false, 2.48, 30.0, 2.0,
+     {0x1.6e681e992d80cp-2, -0x1.1dbf813a2a40ap-2, 0x1.4389df813b5dep-4,
+      0x1.2bf37fb1ddd69p-2, -0x1.4389df813b5dep-4, -0x1.2bf37fb1ddd6ap-2,
+      -0x1.4ed314353cafcp-2, -0x1.832558c161322p-3}},
+    {0, true, 2.4, 0.0, 30.0,
+     {-0x1.dcd73acd5a934p-3, -0x1.f3d62da3a5cd2p-7, -0x1.f1edf38d80ff6p-7,
+      0x1.2b09ecc99a79bp-4, -0x1.f1edf38d80ff6p-7, 0x1.2b09ecc99a79bp-4,
+      -0x1.1a8d6fb1167e9p-3, 0x1.61589212f355ap-5}},
+    {0, true, 2.44, 7.25, 13.5,
+     {-0x1.7a0d4c0d4e70bp-3, -0x1.6c98da0a92812p-5, 0x1.741561b6d42a5p-7,
+      0x1.67127343e709dp-4, 0x1.741561b6d42a4p-7, 0x1.67127343e709dp-4,
+      -0x1.2b12f428008ap-3, -0x1.34fae155773ddp-6}},
+    {0, true, 2.48, 30.0, 2.0,
+     {-0x1.0c8bcc1b32204p-3, -0x1.bcb8cae26008cp-6, 0x1.63128baf8975p-8,
+      0x1.3e1a7134b905p-4, 0x1.63128baf8975p-8, 0x1.3e1a7134b904fp-4,
+      -0x1.c1b7f26b73816p-3, -0x1.f3a83dc538ebdp-5}},
+    {1, false, 2.4, 0.0, 30.0,
+     {-0x1.32be1a581d5b8p-4, -0x1.b0b7e037cb263p-3, -0x1.0e2b1350f27c8p-2,
+      -0x1.2890fb405ff2fp-2, -0x1.b885e0fac7bbep-4, 0x1.6037d9e837d65p-2,
+      0x1.bbb7ac70c8bf2p-3, -0x1.8180100066258p-3}},
+    {1, false, 2.44, 7.25, 13.5,
+     {-0x1.63d5326863effp-3, -0x1.4623b2fb12839p-1, -0x1.3b076cd4e7adp-3,
+      -0x1.139cd1379b70ap-3, -0x1.57235262fb764p-4, 0x1.684ce00ddb11cp-3,
+      0x1.9feea8f4722eap-4, -0x1.55c60904c87bp-1}},
+    {1, false, 2.48, 30.0, 2.0,
+     {0x1.088335085f0aap-2, -0x1.0fcccdb357afap-1, 0x1.fd50c95c53b3cp-3,
+      0x1.d0f5932158b12p-5, 0x1.eaf559779389ep-4, -0x1.c343a68755818p-3,
+      -0x1.5a6a05e18761dp-2, -0x1.0190afeeae458p-2}},
+    {1, true, 2.4, 0.0, 30.0,
+     {-0x1.dcd73acd5a934p-3, -0x1.f3d62da3a5cd2p-7, -0x1.f1edf38d80ff6p-7,
+      0x1.2b09ecc99a79bp-4, -0x1.f1edf38d80ff6p-7, 0x1.2b09ecc99a79bp-4,
+      -0x1.1a8d6fb1167e9p-3, 0x1.61589212f355ap-5}},
+    {1, true, 2.44, 7.25, 13.5,
+     {-0x1.7a0d4c0d4e70bp-3, -0x1.6c98da0a92812p-5, 0x1.741561b6d42a5p-7,
+      0x1.67127343e709dp-4, 0x1.741561b6d42a4p-7, 0x1.67127343e709dp-4,
+      -0x1.2b12f428008ap-3, -0x1.34fae155773ddp-6}},
+    {1, true, 2.48, 30.0, 2.0,
+     {-0x1.0c8bcc1b32204p-3, -0x1.bcb8cae26008cp-6, 0x1.63128baf8975p-8,
+      0x1.3e1a7134b905p-4, 0x1.63128baf8975p-8, 0x1.3e1a7134b904fp-4,
+      -0x1.c1b7f26b73816p-3, -0x1.f3a83dc538ebdp-5}},
+    {2, false, 2.4, 0.0, 30.0,
+     {-0x1.df80d65bd6b77p-3, -0x1.f18456fe827d9p-3, -0x1.35b26c565c052p-3,
+      -0x1.62cdf4558461ap-4, -0x1.35b26c565c052p-3, -0x1.62cdf45584615p-4,
+      0x1.1ce29cbc67cc4p-1, 0x1.4e29ad107fa3bp-3}},
+    {2, false, 2.44, 7.25, 13.5,
+     {0x1.0796e06d82e5bp-3, -0x1.57b9fa22d0fdp-1, -0x1.e603fef7aeb17p-3,
+      -0x1.20ac0989596a9p-3, -0x1.e603fef7aeb16p-3, -0x1.20ac0989596a8p-3,
+      0x1.439f5ad61900ep-1, -0x1.98c1b6e26daafp-2}},
+    {2, false, 2.48, 30.0, 2.0,
+     {0x1.60bbae927790dp-1, -0x1.06a3427541b39p-3, -0x1.a2ab4c37976e8p-3,
+      -0x1.270b4583900ccp-4, -0x1.a2ab4c37976e6p-3, -0x1.270b4583900cep-4,
+      -0x1.d4ea04d2e34f6p-3, -0x1.a37fe0d196902p-2}},
+    {2, true, 2.4, 0.0, 30.0,
+     {-0x1.14af9ab636c76p-1, -0x1.9f96703cec918p-3, 0x0p+0,
+      0x0p+0, 0x0p+0, 0x0p+0,
+      -0x1.b2f7a53805ee8p-2, 0x1.7d086bacb911bp-3}},
+    {2, true, 2.44, 7.25, 13.5,
+     {-0x1.1562321ea5652p-3, -0x1.2faad5903d38ep-3, 0x0p+0,
+      0x0p+0, 0x0p+0, 0x0p+0,
+      -0x1.b2556377b273bp-4, 0x1.1f25043e274e7p-6}},
+    {2, true, 2.48, 30.0, 2.0,
+     {-0x1.057c51d28f37bp-2, 0x1.97956bd8e9523p-4, 0x0p+0,
+      0x0p+0, 0x0p+0, 0x0p+0,
+      -0x1.7441a022ab802p-2, -0x1.d1eafac577bbcp-3}},
+    {3, false, 2.4, 0.0, 30.0,
+     {0x1.677217b3ee9cep-2, -0x1.3354f682071b9p-1, 0x1.eb1d57ededd4fp-3,
+      0x1.0f602154ee343p-3, 0x1.eb1d57ededd56p-3, 0x1.0f602154ee34p-3,
+      0x1.677217b3ee9cbp-2, -0x1.3354f682071bap-1}},
+    {3, false, 2.44, 7.25, 13.5,
+     {0x1.226ac22e91991p-2, -0x1.476430ecfecc6p-1, 0x1.035522ce53bcp-2,
+      0x1.807f7d22c0946p-4, 0x1.035522ce53bcp-2, 0x1.807f7d22c093dp-4,
+      0x1.226ac22e9198ep-2, -0x1.476430ecfecc6p-1}},
+    {3, false, 2.48, 30.0, 2.0,
+     {0x1.b1700ea7490d4p-3, -0x1.5689b6e88ccf9p-1, 0x1.09cc646047c9cp-2,
+      0x1.bdad1036d7342p-5, 0x1.09cc646047c9ap-2, 0x1.bdad1036d732dp-5,
+      0x1.b1700ea7490cap-3, -0x1.5689b6e88ccf8p-1}},
+    {3, true, 2.4, 0.0, 30.0,
+     {-0x1.604f0f26dc986p-3, -0x1.4098e39cad76ep-5, -0x1.2f9015af6452p-7,
+      0x1.ac51827c9637p-4, -0x1.2f9015af6452p-7, 0x1.ac51827c9637p-4,
+      -0x1.604f0f26dc986p-3, -0x1.4098e39cad772p-5}},
+    {3, true, 2.44, 7.25, 13.5,
+     {-0x1.6b61247d993b2p-3, -0x1.d9a53c68ef27cp-5, -0x1.3469f1a10171p-8,
+      0x1.a3c2025d3f6b3p-4, -0x1.3469f1a101702p-8, 0x1.a3c2025d3f6b3p-4,
+      -0x1.6b61247d993b2p-3, -0x1.d9a53c68ef27ep-5}},
+    {3, true, 2.48, 30.0, 2.0,
+     {-0x1.760f10c3873p-3, -0x1.33aee0efc91fap-4, -0x1.bd29f91e3404p-11,
+      0x1.9e3b9bd94e705p-4, -0x1.bd29f91e34p-11, 0x1.9e3b9bd94e704p-4,
+      -0x1.760f10c3873p-3, -0x1.33aee0efc91f9p-4}},
+};
+
 constexpr SParamsGolden kSParams[] = {
     {0, false, 2.4, 2.0,
      {-0x1.06c733730c4a8p-3, 0x1.487702be9997fp-2, 0x1.bde354333ee24p-1,
@@ -270,21 +373,58 @@ std::vector<RotatorStack> designs() {
           rfid_900mhz_design()};
 }
 
+/// Hand-built stacks for the cascade shapes designs() does not cover, in
+/// the order kHandBuilt indexes them. Boards are taken from the catalog
+/// designs so the stacks need no pattern constants of their own.
+std::vector<RotatorStack> hand_built_stacks() {
+  const RotatorStack proto = prototype_fr4_design();
+  const RotatorStack naive = naive_fr4_design();
+  const Board& qwp = proto.elements().at(0).board;
+  const Board& bfs = proto.elements().at(2).board;
+  const Board& other_bfs = naive.elements().at(2).board;
+  const common::Angle zero = common::Angle::degrees(0.0);
+  const common::Angle plus45 = common::Angle::degrees(45.0);
+  const common::Angle minus45 = common::Angle::degrees(-45.0);
+  std::vector<RotatorStack> stacks;
+  // 0: two different tunable boards back to back.
+  stacks.push_back(RotatorStack{{{qwp, plus45, 6e-3, false},
+                                 {bfs, zero, 7e-3, true},
+                                 {other_bfs, zero, 11e-3, true},
+                                 {qwp, minus45, 0.0, false}}});
+  // 1: a repeated board whose second copy is rotated 30 degrees.
+  stacks.push_back(
+      RotatorStack{{{qwp, plus45, 6e-3, false},
+                    {bfs, zero, 7e-3, true},
+                    {bfs, common::Angle::degrees(30.0), 11e-3, true},
+                    {qwp, minus45, 0.0, false}}});
+  // 2: the first element is tunable; its repeat sits behind a static board.
+  stacks.push_back(RotatorStack{{{bfs, zero, 7e-3, true},
+                                 {qwp, minus45, 6e-3, false},
+                                 {bfs, zero, 0.0, true}}});
+  // 3: no tunable element at all.
+  stacks.push_back(RotatorStack{{{qwp, plus45, 6e-3, false},
+                                 {qwp, plus45, 11e-3, false},
+                                 {qwp, minus45, 0.0, false}}});
+  return stacks;
+}
+
 void expect_bits(double actual, double golden, const std::string& what) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(actual),
             std::bit_cast<std::uint64_t>(golden))
       << what << ": " << std::hexfloat << actual << " vs " << golden;
 }
 
-TEST(CascadeGolden, JonesMatricesMatchRecordedBits) {
-  const std::vector<RotatorStack> stacks = designs();
-  for (const JonesGolden& g : kJones) {
+/// Checks every row of `table` against stacks[row.design].
+void expect_jones_table(const std::vector<RotatorStack>& stacks,
+                        std::span<const JonesGolden> table,
+                        const std::string& label) {
+  for (const JonesGolden& g : table) {
     const RotatorStack& stack = stacks.at(static_cast<std::size_t>(g.design));
     const Frequency f = Frequency::ghz(g.ghz);
     const em::JonesMatrix j =
         g.reflective ? stack.reflection(f, Voltage{g.vx}, Voltage{g.vy})
                      : stack.transmission(f, Voltage{g.vx}, Voltage{g.vy});
-    const std::string what = "design " + std::to_string(g.design) +
+    const std::string what = label + " " + std::to_string(g.design) +
                              (g.reflective ? " reflection" : " transmission") +
                              " @ " + std::to_string(g.ghz) + " GHz";
     for (int r = 0; r < 2; ++r)
@@ -294,6 +434,14 @@ TEST(CascadeGolden, JonesMatricesMatchRecordedBits) {
         expect_bits(j.at(r, c).imag(), g.m[k + 1], what + " im");
       }
   }
+}
+
+TEST(CascadeGolden, JonesMatricesMatchRecordedBits) {
+  expect_jones_table(designs(), kJones, "design");
+}
+
+TEST(CascadeGolden, HandBuiltStacksMatchRecordedBits) {
+  expect_jones_table(hand_built_stacks(), kHandBuilt, "hand-built");
 }
 
 TEST(CascadeGolden, PrototypeBoardSParamsMatchRecordedBits) {
