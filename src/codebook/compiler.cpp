@@ -163,6 +163,9 @@ void CompilerOptions::validate() const {
   require(f_step_hz ? f_max.in_hz() >= f_min.in_hz()
                     : n_frequencies == 1 || f_max.in_hz() > f_min.in_hz(),
           "f_max must exceed f_min");
+  require(!f_step_hz || common::stepped_range_fits(f_min.in_hz(),
+                                                   f_max.in_hz(), *f_step_hz),
+          "f_step_hz must leave fewer than 5e7 steps from f_min to f_max");
   require(std::isfinite(orientation_min.rad()),
           "orientation_min must be finite");
   require(std::isfinite(orientation_max.rad()),
@@ -176,6 +179,12 @@ void CompilerOptions::validate() const {
               : n_orientations == 1 ||
                     orientation_max.rad() > orientation_min.rad(),
           "orientation_max must exceed orientation_min");
+  require(!orientation_step ||
+              common::stepped_range_fits(orientation_min.rad(),
+                                         orientation_max.rad(),
+                                         orientation_step->rad()),
+          "orientation_step must leave fewer than 5e7 steps from "
+          "orientation_min to orientation_max");
   require(positive(v_step.value()), "v_step must be finite and > 0 V");
   require(std::isfinite(v_min.value()) && v_min.value() >= 0.0,
           "v_min must be finite and >= 0 V");
@@ -183,6 +192,9 @@ void CompilerOptions::validate() const {
               v_max.value() <= control::PowerSupply{}.max_voltage().value(),
           "v_max must be finite and <= the supply's 30 V maximum");
   require(v_min.value() <= v_max.value(), "v_min must not exceed v_max");
+  require(common::stepped_range_fits(v_min.value(), v_max.value(),
+                                     v_step.value()),
+          "v_step must leave fewer than 5e7 steps from v_min to v_max");
 }
 
 Codebook CodebookCompiler::compile(const CompilerOptions& options) const {

@@ -63,8 +63,9 @@ struct CompilerOptions {
   /// Throws std::invalid_argument naming the field unless: frequencies and
   /// steps are finite and positive; orientation bounds are finite; each
   /// axis is non-empty (max >= min for a stepped axis, max > min for a
-  /// count-based axis of more than one point); and v_min <= v_max within
-  /// the supply's [0, 30] V.
+  /// count-based axis of more than one point); v_min <= v_max within the
+  /// supply's [0, 30] V; and every step leaves its axis fewer points than
+  /// common::stepped_range accepts.
   void validate() const;
 };
 

@@ -49,20 +49,22 @@ std::vector<double> linspace(double lo, double hi, int n) {
 std::vector<double> stepped_range(double lo, double hi, double step) {
   std::vector<double> out;
   if (step <= 0.0 || hi < lo) return out;
-  // Fail fast on range/step combinations that would not fit in memory (the
-  // negated comparison also rejects a NaN point count). 50M points is far
-  // beyond any physical axis and still a safe allocation.
-  const double approx_count = (hi - lo) / step;
-  if (!(approx_count < 5e7))
+  // Fail fast on range/step combinations that would not fit in memory.
+  if (!stepped_range_fits(lo, hi, step))
     throw std::invalid_argument{
         "stepped_range: range/step yields too many points"};
-  out.reserve(static_cast<std::size_t>(approx_count) + 2);
+  out.reserve(static_cast<std::size_t>((hi - lo) / step) + 2);
   for (std::size_t i = 0;; ++i) {
     const double v = lo + static_cast<double>(i) * step;
     if (v > hi + 1e-9) break;
     out.push_back(v);
   }
   return out;
+}
+
+bool stepped_range_fits(double lo, double hi, double step) {
+  // 50M points is far beyond any physical axis and still a safe allocation.
+  return (hi - lo) / step < 5e7;
 }
 
 double interp1(std::span<const double> xs, std::span<const double> ys,

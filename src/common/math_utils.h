@@ -48,10 +48,14 @@ using Complex = std::complex<double>;
 /// lo + i * step — never by repeated accumulation, which drifts by an ulp
 /// per addition and can shift grid points or add/drop the endpoint.
 /// Returns an empty vector when step <= 0 or hi < lo; throws
-/// std::invalid_argument when the range/step combination would produce an
-/// absurd number of points (> 5e7).
+/// std::invalid_argument unless stepped_range_fits(lo, hi, step).
 [[nodiscard]] std::vector<double> stepped_range(double lo, double hi,
                                                 double step);
+
+/// True when (hi - lo) / step < 5e7, the most steps stepped_range accepts
+/// (the negated comparison rejects a NaN count). Option validators use it
+/// to reject an absurd step by name before any range is built.
+[[nodiscard]] bool stepped_range_fits(double lo, double hi, double step);
 
 /// Piecewise-linear interpolation of y(x) at query point x_q.
 /// xs must be sorted ascending; values outside the range are clamped to the

@@ -122,6 +122,11 @@ TEST(CompilerOptions, CompileRejectsAnInvalidOptionNamingTheField) {
        }},
       {"f_step_hz", [](CompilerOptions& o) { o.f_step_hz = 0.0; }},
       {"f_step_hz", [&](CompilerOptions& o) { o.f_step_hz = nan; }},
+      {"f_step_hz",
+       [](CompilerOptions& o) {
+         o.f_max = Frequency::ghz(2.48);
+         o.f_step_hz = 1e-4;
+       }},
       {"n_frequencies", [](CompilerOptions& o) { o.n_frequencies = 0; }},
       {"orientation_min",
        [&](CompilerOptions& o) { o.orientation_min = Angle::radians(nan); }},
@@ -131,9 +136,12 @@ TEST(CompilerOptions, CompileRejectsAnInvalidOptionNamingTheField) {
        [](CompilerOptions& o) { o.orientation_max = Angle::degrees(0.0); }},
       {"orientation_step",
        [](CompilerOptions& o) { o.orientation_step = Angle::degrees(-5.0); }},
+      {"orientation_step",
+       [](CompilerOptions& o) { o.orientation_step = Angle::radians(1e-12); }},
       {"n_orientations", [](CompilerOptions& o) { o.n_orientations = 0; }},
       {"v_step", [&](CompilerOptions& o) { o.v_step = Voltage{nan}; }},
       {"v_step", [](CompilerOptions& o) { o.v_step = Voltage{0.0}; }},
+      {"v_step", [](CompilerOptions& o) { o.v_step = Voltage{1e-9}; }},
       {"v_min", [](CompilerOptions& o) { o.v_min = Voltage{-5.0}; }},
       {"v_min", [&](CompilerOptions& o) { o.v_min = Voltage{nan}; }},
       {"v_max", [](CompilerOptions& o) { o.v_max = Voltage{60.0}; }},
