@@ -8,7 +8,12 @@ namespace llama::em {
 
 namespace {
 constexpr Complex kJ{0.0, 1.0};
+
+/// R(theta) from cos(theta) and sin(theta).
+JonesMatrix rotation_of(double c, double s) {
+  return {Complex{c, 0.0}, Complex{-s, 0.0}, Complex{s, 0.0}, Complex{c, 0.0}};
 }
+}  // namespace
 
 JonesVector JonesVector::linear(common::Angle theta) {
   return {Complex{std::cos(theta.rad()), 0.0},
@@ -66,9 +71,7 @@ double JonesVector::circularity() const {
 }
 
 JonesMatrix JonesMatrix::rotation(common::Angle theta) {
-  const double c = std::cos(theta.rad());
-  const double s = std::sin(theta.rad());
-  return {Complex{c, 0.0}, Complex{-s, 0.0}, Complex{s, 0.0}, Complex{c, 0.0}};
+  return rotation_of(std::cos(theta.rad()), std::sin(theta.rad()));
 }
 
 JonesMatrix JonesMatrix::linear_polarizer(common::Angle theta) {
@@ -89,7 +92,11 @@ JonesMatrix JonesMatrix::quarter_wave_plate(double alpha_rad) {
 }
 
 JonesMatrix JonesMatrix::rotated(common::Angle theta) const {
-  const JonesMatrix r = rotation(theta);
+  return rotated(std::cos(theta.rad()), std::sin(theta.rad()));
+}
+
+JonesMatrix JonesMatrix::rotated(double cos_theta, double sin_theta) const {
+  const JonesMatrix r = rotation_of(cos_theta, sin_theta);
   return r * (*this) * r.transpose();
 }
 

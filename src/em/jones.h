@@ -103,6 +103,11 @@ class JonesMatrix {
   /// M_theta = R(theta) M R(theta)^T.
   [[nodiscard]] JonesMatrix rotated(common::Angle theta) const;
 
+  /// rotated(theta) from precomputed cos(theta) and sin(theta): the same R
+  /// and the same products, so the result is bit-identical. For loops that
+  /// rotate by one fixed angle many times.
+  [[nodiscard]] JonesMatrix rotated(double cos_theta, double sin_theta) const;
+
   [[nodiscard]] constexpr Complex at(int r, int c) const {
     return m_[static_cast<std::size_t>(r * 2 + c)];
   }

@@ -19,10 +19,12 @@ struct RotationCoeffs {
   double c2, s2, cs;
 };
 
-RotationCoeffs rotation_coeffs(common::Angle theta) {
-  const double c = std::cos(theta.rad());
-  const double s = std::sin(theta.rad());
+RotationCoeffs rotation_coeffs(double c, double s) {
   return {c * c, s * s, c * s};
+}
+
+RotationCoeffs rotation_coeffs(common::Angle theta) {
+  return rotation_coeffs(std::cos(theta.rad()), std::sin(theta.rad()));
 }
 
 }  // namespace
@@ -36,11 +38,15 @@ TransmissionKernel::TransmissionKernel(
     : nx_(vx.size()), ny_(vy.size()) {
   // Fold every run of consecutive static boards and air-gap phases into one
   // constant matrix; solve each tunable board's axes as whole lanes. The
-  // multiplication ORDER matches the scalar planned loop (first element
-  // multiplies from the right), but the folding reassociates — hence the
-  // <= 1e-12 (not bit-equal) contract with the scalar path.
-  JonesMatrix pending = JonesMatrix::identity();
-  bool have_pending = false;
+  // leading run is the plan's prefix, already folded in the scalar loop's
+  // order; it is empty (the identity, nothing to fold) exactly when the
+  // steps start at element 0. The multiplication ORDER matches the scalar
+  // planned loop (first element multiplies from the right), but the folding
+  // reassociates — hence the <= 1e-12 (not bit-equal) contract with the
+  // scalar path. A repeated board is solved again here: lanes cost nx + ny
+  // solves per board, not one per cell.
+  JonesMatrix pending = plan.prefix;
+  bool have_pending = plan.steps.empty() || plan.steps.front().index > 0;
   for (const metasurface::RotatorStack::TransmissionStep& step : plan.steps) {
     if (step.tunable) {
       if (have_pending) {
@@ -54,7 +60,8 @@ TransmissionKernel::TransmissionKernel(
                    vx, AxisOutput::kS21, &lanes.tx, nullptr);
       axis_s_lanes(step.board_plan.y, step.board_plan.omega, board.varactor(),
                    vy, AxisOutput::kS21, &lanes.ty, nullptr);
-      const RotationCoeffs rc = rotation_coeffs(step.rotation);
+      const RotationCoeffs rc =
+          rotation_coeffs(step.cos_rotation, step.sin_rotation);
       lanes.c2 = rc.c2;
       lanes.s2 = rc.s2;
       lanes.cs = rc.cs;

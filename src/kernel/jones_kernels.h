@@ -6,7 +6,9 @@
 // tunable board, tx depends only on Vx and ty only on Vy, so an nx-by-ny
 // grid needs nx + ny board solves (src/kernel/board_kernels) instead of
 // nx * ny — and folds every run of consecutive static boards and air gaps
-// into a single constant Jones matrix. Evaluation then cascades 2x2 complex
+// into a single constant Jones matrix (the leading run arrives pre-folded as
+// the plan's prefix, and each tunable board's rotation as its cos/sin, the
+// values the scalar loop uses). Evaluation then cascades 2x2 complex
 // multiplies over split re/im lanes (src/kernel/lanes.h), which the
 // compiler auto-vectorizes.
 //

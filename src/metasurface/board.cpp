@@ -131,28 +131,43 @@ BoardFrequencyPlan Board::make_frequency_plan(common::Frequency f) const {
   return plan;
 }
 
+namespace {
+
+/// ABCD cascade front face | slab | back face of one axis under `bias`; the
+/// slab ABCD and static admittances come from the plan instead of being
+/// re-derived. Every planned per-axis query reads its S-parameters off this
+/// one chain, so they all agree bit for bit.
+Abcd axis_chain(const BoardAxisPlan& ax, double omega, common::Voltage bias,
+                const microwave::Varactor& varactor) {
+  Abcd chain = Abcd::identity();
+  if (ax.front.present)
+    chain = chain * Abcd::shunt(ax.front.admittance(omega, bias, varactor));
+  chain = chain * ax.slab;
+  if (ax.back.present)
+    chain = chain * Abcd::shunt(ax.back.admittance(omega, bias, varactor));
+  return chain;
+}
+
+}  // namespace
+
 microwave::SParams Board::axis_sparams(const BoardFrequencyPlan& plan,
                                        common::Voltage bias,
                                        bool y_axis) const {
-  // ABCD cascade front face | slab | back face; the slab ABCD and static
-  // admittances come from the plan instead of being re-derived.
-  const BoardAxisPlan& ax = y_axis ? plan.y : plan.x;
-  Abcd chain = Abcd::identity();
-  if (ax.front.present)
-    chain = chain *
-            Abcd::shunt(ax.front.admittance(plan.omega, bias, varactor_));
-  chain = chain * ax.slab;
-  if (ax.back.present)
-    chain =
-        chain * Abcd::shunt(ax.back.admittance(plan.omega, bias, varactor_));
-  return chain.to_sparams();
+  return axis_chain(y_axis ? plan.y : plan.x, plan.omega, bias, varactor_)
+      .to_sparams();
+}
+
+Complex Board::axis_reflection(const BoardFrequencyPlan& plan,
+                               common::Voltage bias, bool y_axis) const {
+  return axis_chain(y_axis ? plan.y : plan.x, plan.omega, bias, varactor_)
+      .s11();
 }
 
 em::JonesMatrix Board::jones_transmission(const BoardFrequencyPlan& plan,
                                           common::Voltage vx,
                                           common::Voltage vy) const {
-  const Complex tx = axis_sparams(plan, vx, /*y_axis=*/false).s21;
-  const Complex ty = axis_sparams(plan, vy, /*y_axis=*/true).s21;
+  const Complex tx = axis_chain(plan.x, plan.omega, vx, varactor_).s21();
+  const Complex ty = axis_chain(plan.y, plan.omega, vy, varactor_).s21();
   return em::JonesMatrix{tx, Complex{0.0, 0.0}, Complex{0.0, 0.0}, ty};
 }
 

@@ -80,6 +80,8 @@ struct FacePlan {
   [[nodiscard]] microwave::Complex admittance(
       double omega, common::Voltage bias,
       const microwave::Varactor& varactor) const;
+
+  friend bool operator==(const FacePlan&, const FacePlan&) = default;
 };
 
 /// Per-axis precomputation: both face plans plus the slab's ABCD matrix
@@ -89,13 +91,21 @@ struct BoardAxisPlan {
   FacePlan front;
   FacePlan back;
   microwave::Abcd slab;
+
+  friend bool operator==(const BoardAxisPlan&, const BoardAxisPlan&) = default;
 };
 
-/// Everything about a board that depends only on frequency.
+/// Everything about a board that depends only on frequency. Two boards
+/// whose plans and varactors compare equal give bit-identical responses at
+/// every bias (RotatorStack::plan_transmission relies on this to solve a
+/// repeated board once).
 struct BoardFrequencyPlan {
   double omega = 0.0;
   BoardAxisPlan x;
   BoardAxisPlan y;
+
+  friend bool operator==(const BoardFrequencyPlan&,
+                         const BoardFrequencyPlan&) = default;
 };
 
 /// A patterned board: substrate + thickness + X/Y axis patterns.
@@ -154,7 +164,14 @@ class Board {
                                                 common::Voltage bias,
                                                 bool y_axis) const;
 
-  /// jones_transmission(f, vx, vy) against a plan from make_frequency_plan.
+  /// axis_sparams(plan, bias, y_axis).s11, bit-identical, without solving
+  /// the other three S-parameters.
+  [[nodiscard]] microwave::Complex axis_reflection(
+      const BoardFrequencyPlan& plan, common::Voltage bias, bool y_axis) const;
+
+  /// jones_transmission(f, vx, vy) against a plan from make_frequency_plan:
+  /// diag(axis_sparams(plan, vx, x).s21, axis_sparams(plan, vy, y).s21),
+  /// bit-identical, solving only s21 per axis.
   [[nodiscard]] em::JonesMatrix jones_transmission(
       const BoardFrequencyPlan& plan, common::Voltage vx,
       common::Voltage vy) const;

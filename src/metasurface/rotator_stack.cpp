@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "src/common/constants.h"
@@ -55,15 +56,29 @@ RotatorStack::TransmissionPlan RotatorStack::plan_transmission(
     common::Frequency f) const {
   TransmissionPlan plan;
   plan.frequency = f;
-  plan.steps.reserve(elements_.size());
-  for (std::size_t i = 0; i < elements_.size(); ++i) {
+  std::size_t i = 0;
+  for (; i < elements_.size() && !elements_[i].tunable; ++i) {
+    plan.prefix = fixed_jones(elements_[i], f) * plan.prefix;
+    if (elements_[i].gap_after_m > 0.0)
+      plan.prefix = gap_phase(f, elements_[i].gap_after_m) * plan.prefix;
+  }
+  plan.steps.reserve(elements_.size() - i);
+  std::optional<std::size_t> last_tunable;  // into plan.steps
+  for (; i < elements_.size(); ++i) {
     const StackElement& e = elements_[i];
     TransmissionStep step;
     step.tunable = e.tunable;
     step.index = i;
     if (e.tunable) {
       step.board_plan = e.board.make_frequency_plan(f);
-      step.rotation = e.rotation;
+      step.cos_rotation = std::cos(e.rotation.rad());
+      step.sin_rotation = std::sin(e.rotation.rad());
+      if (last_tunable) {
+        const TransmissionStep& prev = plan.steps[*last_tunable];
+        step.repeats_previous =
+            prev.board_plan == step.board_plan &&
+            elements_[prev.index].board.varactor() == e.board.varactor();
+      }
     } else {
       step.fixed_jones = fixed_jones(e, f);
     }
@@ -72,6 +87,7 @@ RotatorStack::TransmissionPlan RotatorStack::plan_transmission(
       step.gap_factor = gap_phase(f, e.gap_after_m);
     }
     plan.steps.push_back(std::move(step));
+    if (e.tunable) last_tunable = plan.steps.size() - 1;
   }
   return plan;
 }
@@ -81,14 +97,17 @@ JonesMatrix RotatorStack::transmission(const TransmissionPlan& plan,
                                        common::Voltage vy) const {
   // Paper Eq. 2: J_out = M_N ... M_2 M_1 J_in — the first element hit by the
   // wave multiplies from the right. Air gaps add a common propagation phase.
-  // Static elements come precomputed; tunable boards are re-solved per bias.
-  JonesMatrix total = JonesMatrix::identity();
+  // The leading static elements come pre-multiplied in the prefix, later
+  // static elements precomputed; tunable boards are re-solved per bias,
+  // once per run of equal boards.
+  JonesMatrix total = plan.prefix;
+  JonesMatrix board;  // diag(tx, ty) of the last solved tunable board
   for (const TransmissionStep& step : plan.steps) {
     if (step.tunable) {
-      const StackElement& e = elements_[step.index];
-      total = e.board.jones_transmission(step.board_plan, vx, vy)
-                  .rotated(step.rotation) *
-              total;
+      if (!step.repeats_previous)
+        board = elements_[step.index].board.jones_transmission(
+            step.board_plan, vx, vy);
+      total = board.rotated(step.cos_rotation, step.sin_rotation) * total;
     } else {
       total = step.fixed_jones * total;
     }
@@ -138,9 +157,9 @@ RotatorStack::ReflectionPlan RotatorStack::plan_reflection(
   if (!first.tunable) {
     const common::Voltage v0{0.0};
     const Complex r0x =
-        first.board.axis_sparams(plan.front_plan, v0, /*y_axis=*/false).s11;
+        first.board.axis_reflection(plan.front_plan, v0, /*y_axis=*/false);
     const Complex r0y =
-        first.board.axis_sparams(plan.front_plan, v0, /*y_axis=*/true).s11;
+        first.board.axis_reflection(plan.front_plan, v0, /*y_axis=*/true);
     plan.gamma_front = front_gamma(r0x, r0y, first.rotation);
   }
   return plan;
@@ -153,9 +172,9 @@ JonesMatrix RotatorStack::reflection(const ReflectionPlan& plan,
   const common::Voltage bx = plan.target_uses_bias ? vx : common::Voltage{0.0};
   const common::Voltage by = plan.target_uses_bias ? vy : common::Voltage{0.0};
   const Complex rx =
-      target.board.axis_sparams(plan.target_plan, bx, /*y_axis=*/false).s11;
+      target.board.axis_reflection(plan.target_plan, bx, /*y_axis=*/false);
   const Complex ry =
-      target.board.axis_sparams(plan.target_plan, by, /*y_axis=*/true).s11;
+      target.board.axis_reflection(plan.target_plan, by, /*y_axis=*/true);
   const JonesMatrix gamma_deep =
       JonesMatrix{rx, Complex{0, 0}, Complex{0, 0}, ry}.rotated(
           target.rotation);
@@ -169,9 +188,9 @@ JonesMatrix RotatorStack::reflection(const ReflectionPlan& plan,
   if (plan.front_uses_bias) {
     const StackElement& first = elements_.front();
     const Complex r0x =
-        first.board.axis_sparams(plan.front_plan, vx, /*y_axis=*/false).s11;
+        first.board.axis_reflection(plan.front_plan, vx, /*y_axis=*/false);
     const Complex r0y =
-        first.board.axis_sparams(plan.front_plan, vy, /*y_axis=*/true).s11;
+        first.board.axis_reflection(plan.front_plan, vy, /*y_axis=*/true);
     gamma_front = front_gamma(r0x, r0y, first.rotation);
   }
   // Round trip of the deep component: forward in, reflect, transpose out

@@ -52,20 +52,32 @@ class RotatorStack {
  public:
   /// One step of a per-frequency transmission plan: either a fully
   /// precomputed static element or a tunable element whose board is
-  /// re-solved per bias through its BoardFrequencyPlan.
+  /// re-solved per bias through its BoardFrequencyPlan. A tunable step
+  /// carries cos/sin of its rotation (the R that JonesMatrix::rotated builds)
+  /// rather than the angle. When its board plan and varactor equal the
+  /// previous tunable step's, its diag(tx, ty) is equal too at every bias, so
+  /// it is marked `repeats_previous` and transmission() reuses that solve.
   struct TransmissionStep {
     bool tunable = false;
-    std::size_t index = 0;            ///< element index (tunable steps)
+    bool repeats_previous = false;    ///< reuse the last tunable solve
+    std::size_t index = 0;            ///< element index
     em::JonesMatrix fixed_jones;      ///< rotated Jones (static steps)
     BoardFrequencyPlan board_plan;    ///< per-frequency state (tunable steps)
-    common::Angle rotation;           ///< physical rotation (tunable steps)
+    double cos_rotation = 1.0;        ///< cos of the rotation (tunable steps)
+    double sin_rotation = 0.0;        ///< sin of the rotation (tunable steps)
     microwave::Complex gap_factor{1.0, 0.0};  ///< e^{-jkd} after the element
     bool has_gap = false;
   };
 
   /// Bias-independent precomputation of transmission() at one frequency.
+  /// The static elements ahead of the first tunable one, with their gaps,
+  /// are multiplied into `prefix` at plan time in the order the per-bias
+  /// loop would multiply them, so `steps` starts at the first tunable
+  /// element. With a tunable first element the prefix is the identity; with
+  /// no tunable element it is the whole stack and `steps` is empty.
   struct TransmissionPlan {
     common::Frequency frequency;
+    em::JonesMatrix prefix = em::JonesMatrix::identity();
     std::vector<TransmissionStep> steps;
   };
 

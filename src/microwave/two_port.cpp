@@ -39,15 +39,33 @@ Abcd Abcd::line(Complex zc, Complex gamma, double length_m) {
   return {ch, zc * sh, sh / zc, ch};
 }
 
+namespace {
+
+/// Common denominator of every S-parameter: A + B/z0 + C z0 + D. The one
+/// expression shared by to_sparams, s21 and s11 keeps them bit-identical.
+Complex sparams_denominator(const Abcd& m, double z0) {
+  return m.a() + m.b() / z0 + m.c() * z0 + m.d();
+}
+
+}  // namespace
+
 SParams Abcd::to_sparams(double z0) const {
   // Standard ABCD -> S conversion (e.g. Pozar, Microwave Engineering).
-  const Complex denom = a_ + b_ / z0 + c_ * z0 + d_;
+  const Complex denom = sparams_denominator(*this, z0);
   SParams s;
   s.s11 = (a_ + b_ / z0 - c_ * z0 - d_) / denom;
   s.s12 = 2.0 * (a_ * d_ - b_ * c_) / denom;
   s.s21 = 2.0 / denom;
   s.s22 = (-a_ + b_ / z0 - c_ * z0 + d_) / denom;
   return s;
+}
+
+Complex Abcd::s21(double z0) const {
+  return 2.0 / sparams_denominator(*this, z0);
+}
+
+Complex Abcd::s11(double z0) const {
+  return (a_ + b_ / z0 - c_ * z0 - d_) / sparams_denominator(*this, z0);
 }
 
 Abcd operator*(const Abcd& first, const Abcd& second) {

@@ -81,6 +81,17 @@ class Abcd {
   /// space, appropriate for a wave impinging on a surface from air).
   [[nodiscard]] SParams to_sparams(double z0 = kZ0) const;
 
+  /// to_sparams(z0).s21 alone: the same denominator and one division, so
+  /// the result is bit-identical. Hot paths that read a single coefficient
+  /// use these instead of paying for all four.
+  [[nodiscard]] Complex s21(double z0 = kZ0) const;
+
+  /// to_sparams(z0).s11 alone, bit-identical like s21().
+  [[nodiscard]] Complex s11(double z0 = kZ0) const;
+
+  /// Element-wise equality (plans compare their slabs with it).
+  friend bool operator==(const Abcd&, const Abcd&) = default;
+
   /// Chain rule: (this) followed by (next), wave passes this first.
   friend Abcd operator*(const Abcd& first, const Abcd& second);
 

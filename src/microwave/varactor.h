@@ -53,6 +53,10 @@ class Varactor {
   /// [0, 30] V. Used by tests and by the controller's calibration path.
   [[nodiscard]] common::Voltage bias_for_capacitance(double c_farad) const;
 
+  /// Parameter-wise equality: equal varactors have the same C(V) and
+  /// impedance at every bias.
+  friend bool operator==(const Varactor&, const Varactor&) = default;
+
  private:
   double cj0_;
   double vj_;

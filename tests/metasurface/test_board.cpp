@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace llama::metasurface {
 namespace {
@@ -128,6 +130,43 @@ TEST(Board, IndependentAxisBiases) {
   // Same X bias -> same (0,0); different Y bias -> different (1,1).
   EXPECT_NEAR(std::abs(j1.at(0, 0) - j2.at(0, 0)), 0.0, 1e-12);
   EXPECT_GT(std::abs(j1.at(1, 1) - j2.at(1, 1)), 1e-3);
+}
+
+/// Bit equality of two complex values, naming the quantity on failure.
+void expect_same_bits(microwave::Complex actual, microwave::Complex expected,
+                      const char* what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.real()),
+            std::bit_cast<std::uint64_t>(expected.real()))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.imag()),
+            std::bit_cast<std::uint64_t>(expected.imag()))
+      << what;
+}
+
+TEST(Board, PlannedSingleCoefficientsMatchAxisSParamsBits) {
+  // Both faces present on both axes, one static and one varactor-loaded, so
+  // every branch of the axis chain runs.
+  const Board b{"mixed", Substrate::fr4(), 0.8e-3,
+                AxisPatterns{.front = tunable_tank(), .back = fixed_tank()},
+                AxisPatterns{.front = fixed_tank(), .back = tunable_tank()}};
+  for (const double ghz : {2.4, 2.44, 2.48}) {
+    const BoardFrequencyPlan plan = b.make_frequency_plan(Frequency::ghz(ghz));
+    for (const double vx : {0.0, 3.5, 30.0})
+      for (const double vy : {0.0, 12.25, 30.0}) {
+        const em::JonesMatrix j =
+            b.jones_transmission(plan, Voltage{vx}, Voltage{vy});
+        const microwave::SParams sx = b.axis_sparams(plan, Voltage{vx}, false);
+        const microwave::SParams sy = b.axis_sparams(plan, Voltage{vy}, true);
+        expect_same_bits(j.at(0, 0), sx.s21, "tx");
+        expect_same_bits(j.at(0, 1), microwave::Complex{0.0, 0.0}, "j01");
+        expect_same_bits(j.at(1, 0), microwave::Complex{0.0, 0.0}, "j10");
+        expect_same_bits(j.at(1, 1), sy.s21, "ty");
+        expect_same_bits(b.axis_reflection(plan, Voltage{vx}, false), sx.s11,
+                         "rx");
+        expect_same_bits(b.axis_reflection(plan, Voltage{vy}, true), sy.s11,
+                         "ry");
+      }
+  }
 }
 
 TEST(Board, RejectsNonPositiveThickness) {

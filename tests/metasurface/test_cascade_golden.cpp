@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/metasurface/designs.h"
@@ -442,6 +443,42 @@ TEST(CascadeGolden, JonesMatricesMatchRecordedBits) {
 
 TEST(CascadeGolden, HandBuiltStacksMatchRecordedBits) {
   expect_jones_table(hand_built_stacks(), kHandBuilt, "hand-built");
+}
+
+/// (element index, repeats_previous) of every step of `plan`.
+std::vector<std::pair<std::size_t, bool>> step_shape(
+    const RotatorStack::TransmissionPlan& plan) {
+  std::vector<std::pair<std::size_t, bool>> shape;
+  for (const RotatorStack::TransmissionStep& step : plan.steps)
+    shape.emplace_back(step.index, step.repeats_previous);
+  return shape;
+}
+
+TEST(TransmissionPlan, StartsAtTheFirstTunableAndMarksRepeatedBoards) {
+  using Shape = std::vector<std::pair<std::size_t, bool>>;
+  const Frequency f = Frequency::ghz(2.44);
+  // Prototype: the two QWPs ahead of BFS 1 fold into the prefix, and BFS 2
+  // (the same board at the same rotation) reuses BFS 1's solve.
+  EXPECT_EQ(step_shape(prototype_fr4_design().plan_transmission(f)),
+            (Shape{{2, false}, {3, true}, {4, false}, {5, false}}));
+  const std::vector<RotatorStack> stacks = hand_built_stacks();
+  // Two different tunable boards: each is solved.
+  EXPECT_EQ(step_shape(stacks[0].plan_transmission(f)),
+            (Shape{{1, false}, {2, false}, {3, false}}));
+  // Rotation is applied per step, so a rotated copy still repeats.
+  EXPECT_EQ(step_shape(stacks[1].plan_transmission(f)),
+            (Shape{{1, false}, {2, true}, {3, false}}));
+  // Empty prefix; the repeat looks past the static board in between.
+  const RotatorStack::TransmissionPlan first_tunable =
+      stacks[2].plan_transmission(f);
+  EXPECT_EQ(step_shape(first_tunable),
+            (Shape{{0, false}, {1, false}, {2, true}}));
+  for (int r = 0; r < 2; ++r)
+    for (int c = 0; c < 2; ++c)
+      EXPECT_EQ(first_tunable.prefix.at(r, c),
+                em::JonesMatrix::identity().at(r, c));
+  // No tunable element: the whole stack is the prefix.
+  EXPECT_TRUE(stacks[3].plan_transmission(f).steps.empty());
 }
 
 TEST(CascadeGolden, PrototypeBoardSParamsMatchRecordedBits) {

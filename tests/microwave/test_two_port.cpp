@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace llama::microwave {
 namespace {
@@ -103,13 +105,10 @@ TEST(SParams, ReflectionDbOfHalfAmplitude) {
   EXPECT_NEAR(s.reflection_db(), -6.0206, 1e-3);
 }
 
-/// Property: any cascade of passive elements stays passive and reciprocal.
-class CascadePassivity : public ::testing::TestWithParam<int> {};
-
-TEST_P(CascadePassivity, HoldsForRandomChains) {
-  const int n = GetParam();
+/// Deterministic pseudo-random cascade of n passive elements (shunts,
+/// series impedances and lossy lines), seeded by n.
+Abcd random_chain(int n) {
   Abcd chain = Abcd::identity();
-  // Deterministic pseudo-random element parameters.
   unsigned state = static_cast<unsigned>(n) * 2654435761u;
   auto next = [&state]() {
     state = state * 1664525u + 1013904223u;
@@ -129,10 +128,42 @@ TEST_P(CascadePassivity, HoldsForRandomChains) {
                                  0.001 + next() * 0.01);
     }
   }
-  const SParams s = chain.to_sparams();
+  return chain;
+}
+
+/// Property: any cascade of passive elements stays passive and reciprocal.
+class CascadePassivity : public ::testing::TestWithParam<int> {};
+
+TEST_P(CascadePassivity, HoldsForRandomChains) {
+  const int n = GetParam();
+  const SParams s = random_chain(n).to_sparams();
   EXPECT_TRUE(s.is_passive(1e-6)) << "n=" << n;
   EXPECT_TRUE(s.is_reciprocal(1e-7)) << "n=" << n;
 }
+
+/// Property: the single-coefficient readers are to_sparams bit for bit.
+class SingleSParam : public ::testing::TestWithParam<int> {};
+
+TEST_P(SingleSParam, MatchesToSparamsBits) {
+  const int n = GetParam();
+  const Abcd chain = random_chain(n);
+  for (const double z0 : {kZ0, 50.0}) {
+    const SParams s = chain.to_sparams(z0);
+    const Complex got[] = {chain.s21(z0), chain.s11(z0)};
+    const Complex want[] = {s.s21, s.s11};
+    for (int k = 0; k < 2; ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].real()),
+                std::bit_cast<std::uint64_t>(want[k].real()))
+          << "n=" << n << " z0=" << z0 << (k == 0 ? " s21" : " s11");
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].imag()),
+                std::bit_cast<std::uint64_t>(want[k].imag()))
+          << "n=" << n << " z0=" << z0 << (k == 0 ? " s21" : " s11");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ChainLengths, SingleSParam,
+                         ::testing::Values(0, 1, 2, 3, 5, 8, 13, 21));
 
 INSTANTIATE_TEST_SUITE_P(ChainLengths, CascadePassivity,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21));
