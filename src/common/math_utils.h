@@ -52,9 +52,9 @@ using Complex = std::complex<double>;
 [[nodiscard]] std::vector<double> stepped_range(double lo, double hi,
                                                 double step);
 
-/// True when (hi - lo) / step < 5e7, the most steps stepped_range accepts
-/// (the negated comparison rejects a NaN count). Option validators use it
-/// to reject an absurd step by name before any range is built.
+/// True when (hi - lo) / step < 5e7, the most steps stepped_range accepts;
+/// a NaN count does not fit. Option validators use it to reject an absurd
+/// step by name before any range is built.
 [[nodiscard]] bool stepped_range_fits(double lo, double hi, double step);
 
 /// Piecewise-linear interpolation of y(x) at query point x_q.

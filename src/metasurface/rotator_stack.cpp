@@ -32,6 +32,27 @@ JonesMatrix fixed_jones(const StackElement& e, common::Frequency f) {
   return e.board.jones_transmission(f, v0, v0).rotated(e.rotation);
 }
 
+/// Index of the first tunable element; elements.size() when there is none.
+std::size_t first_tunable(const std::vector<StackElement>& elements) {
+  const auto it = std::find_if(elements.begin(), elements.end(),
+                               [](const StackElement& e) { return e.tunable; });
+  return static_cast<std::size_t>(it - elements.begin());
+}
+
+/// Cascade of the static elements [0, end) and their air gaps, the first
+/// element multiplying from the right (paper Eq. 2). Both plans precompute
+/// their bias-independent leading run with it.
+JonesMatrix static_cascade(const std::vector<StackElement>& elements,
+                           std::size_t end, common::Frequency f) {
+  JonesMatrix total = JonesMatrix::identity();
+  for (std::size_t i = 0; i < end; ++i) {
+    total = fixed_jones(elements[i], f) * total;
+    if (elements[i].gap_after_m > 0.0)
+      total = gap_phase(f, elements[i].gap_after_m) * total;
+  }
+  return total;
+}
+
 }  // namespace
 
 JonesMatrix front_gamma(Complex r0x, Complex r0y, common::Angle rotation) {
@@ -56,15 +77,11 @@ RotatorStack::TransmissionPlan RotatorStack::plan_transmission(
     common::Frequency f) const {
   TransmissionPlan plan;
   plan.frequency = f;
-  std::size_t i = 0;
-  for (; i < elements_.size() && !elements_[i].tunable; ++i) {
-    plan.prefix = fixed_jones(elements_[i], f) * plan.prefix;
-    if (elements_[i].gap_after_m > 0.0)
-      plan.prefix = gap_phase(f, elements_[i].gap_after_m) * plan.prefix;
-  }
-  plan.steps.reserve(elements_.size() - i);
+  const std::size_t first = first_tunable(elements_);
+  plan.prefix = static_cascade(elements_, first, f);
+  plan.steps.reserve(elements_.size() - first);
   std::optional<std::size_t> last_tunable;  // into plan.steps
-  for (; i < elements_.size(); ++i) {
+  for (std::size_t i = first; i < elements_.size(); ++i) {
     const StackElement& e = elements_[i];
     TransmissionStep step;
     step.tunable = e.tunable;
@@ -101,13 +118,13 @@ JonesMatrix RotatorStack::transmission(const TransmissionPlan& plan,
   // static elements precomputed; tunable boards are re-solved per bias,
   // once per run of equal boards.
   JonesMatrix total = plan.prefix;
-  JonesMatrix board;  // diag(tx, ty) of the last solved tunable board
+  JonesMatrix solved;  // diag(tx, ty) of the last solved tunable board
   for (const TransmissionStep& step : plan.steps) {
     if (step.tunable) {
       if (!step.repeats_previous)
-        board = elements_[step.index].board.jones_transmission(
+        solved = elements_[step.index].board.jones_transmission(
             step.board_plan, vx, vy);
-      total = board.rotated(step.cos_rotation, step.sin_rotation) * total;
+      total = solved.rotated(step.cos_rotation, step.sin_rotation) * total;
     } else {
       total = step.fixed_jones * total;
     }
@@ -123,30 +140,12 @@ RotatorStack::ReflectionPlan RotatorStack::plan_reflection(
   // Dominant single-bounce model: propagate through the leading fixed
   // boards, reflect off the tunable section (per-axis S11 in its eigenbasis),
   // and traverse the leading boards backwards. The target is the first
-  // tunable element, else the last element with the prefix rebuilt over all
+  // tunable element, else the last element with the prefix built over all
   // but the last. Elements ahead of the first tunable one are by definition
   // bias-independent, so the forward cascade is always precomputable.
-  JonesMatrix forward = JonesMatrix::identity();
-  std::size_t target = elements_.size();
-  for (std::size_t i = 0; i < elements_.size(); ++i) {
-    const StackElement& e = elements_[i];
-    if (e.tunable) {
-      target = i;
-      break;
-    }
-    forward = fixed_jones(e, f) * forward;
-    if (e.gap_after_m > 0.0) forward = gap_phase(f, e.gap_after_m) * forward;
-  }
-  if (target == elements_.size()) {
-    target = elements_.size() - 1;
-    forward = JonesMatrix::identity();
-    for (std::size_t i = 0; i + 1 < elements_.size(); ++i) {
-      forward = fixed_jones(elements_[i], f) * forward;
-      if (elements_[i].gap_after_m > 0.0)
-        forward = gap_phase(f, elements_[i].gap_after_m) * forward;
-    }
-  }
-  plan.forward = forward;
+  const std::size_t target =
+      std::min(first_tunable(elements_), elements_.size() - 1);
+  plan.forward = static_cascade(elements_, target, f);
   plan.target_index = target;
   plan.target_uses_bias = elements_[target].tunable;
   plan.target_plan = elements_[target].board.make_frequency_plan(f);
