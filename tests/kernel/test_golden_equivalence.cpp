@@ -9,11 +9,14 @@
 // properties it asserts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/serde.h"
 #include "src/common/units.h"
 #include "src/em/jones.h"
 #include "src/kernel/jones_kernels.h"
@@ -295,6 +298,41 @@ TEST(GoldenEquivalence, ThreadCountDoesNotChangeBatchBytes) {
           << "mode=" << static_cast<int>(mode) << " threads=" << threads;
     }
   }
+}
+
+/// A tunable first element is both the deep-bounce target and the front
+/// face, a shape no catalog design has. Its reflection plane must agree
+/// with the scalar path to 1e-12, and its bytes are pinned (FNV-1a of the
+/// grid, recorded while the front face solved its own S11 lanes).
+TEST(GoldenEquivalence, FirstTunableReflectionMatchesScalarAndPinnedBytes) {
+  const RotatorStack proto = metasurface::prototype_fr4_design();
+  const metasurface::Board& qwp = proto.elements().at(0).board;
+  const metasurface::Board& bfs = proto.elements().at(2).board;
+  const common::Angle zero = common::Angle::degrees(0.0);
+  Metasurface surface{RotatorStack{{{bfs, zero, 7e-3, true},
+                                    {qwp, common::Angle::degrees(-45.0),
+                                     6e-3, false},
+                                    {bfs, zero, 0.0, true}}}};
+  const Frequency f = Frequency::ghz(2.44);
+  const std::vector<double> vxs = {0.0, 3.5, 11.0, 24.0, 30.0};
+  const std::vector<double> vys = {1.0, 7.5, 19.0, 28.0};
+  const JonesGrid grid =
+      surface.response_grid(f, SurfaceMode::kReflective, vxs, vys, 1);
+  std::uint64_t h = common::kFnv1a64Basis;
+  for (std::size_t iy = 0; iy < vys.size(); ++iy) {
+    for (std::size_t ix = 0; ix < vxs.size(); ++ix)
+      EXPECT_LE(max_component_diff(grid[iy][ix],
+                                   scalar_cell(surface, f,
+                                               SurfaceMode::kReflective,
+                                               vxs[ix], vys[iy])),
+                kTol)
+          << "cell (" << ix << ", " << iy << ")";
+    h = common::fnv1a64(
+        std::span{reinterpret_cast<const std::uint8_t*>(grid[iy].data()),
+                  grid[iy].size() * sizeof(JonesMatrix)},
+        h);
+  }
+  EXPECT_EQ(h, 0x557cdec483a2039cULL) << std::hex << h;
 }
 
 }  // namespace
