@@ -57,17 +57,24 @@ Environment Environment::laboratory(common::Rng& rng, int ray_count,
   return env;
 }
 
+std::vector<RayTerm> ray_terms(const Environment& env,
+                               const em::JonesVector& tx_state) {
+  std::vector<RayTerm> terms;
+  terms.reserve(env.rays().size());
+  for (const MultipathRay& ray : env.rays())
+    terms.push_back(RayTerm{
+        ray.amplitude_scale, std::exp(em::Complex{0.0, ray.phase_rad}),
+        em::JonesMatrix::rotation(ray.polarization_rotation) * tx_state});
+  return terms;
+}
+
 em::JonesVector combine_multipath(const em::JonesVector& los_at_rx,
-                                  const em::JonesVector& tx_state,
-                                  double friis_amp, const Environment& env) {
+                                  std::span<const RayTerm> rays,
+                                  double friis_amp) {
   em::JonesVector total = los_at_rx;
-  for (const MultipathRay& ray : env.rays()) {
-    const em::JonesMatrix rot =
-        em::JonesMatrix::rotation(ray.polarization_rotation);
-    const em::Complex coeff =
-        friis_amp * ray.amplitude_scale *
-        std::exp(em::Complex{0.0, ray.phase_rad});
-    total = total + coeff * (rot * tx_state);
+  for (const RayTerm& ray : rays) {
+    const em::Complex coeff = friis_amp * ray.amplitude_scale * ray.phase;
+    total = total + coeff * ray.rotated_state;
   }
   return total;
 }

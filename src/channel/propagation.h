@@ -3,6 +3,7 @@
 // "rich multipath" laboratory (Figs. 18 vs 19).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -88,11 +89,28 @@ class Environment {
   double interference_burst_std_db_ = 0.0;
 };
 
+/// One environmental ray applied to a transmitted state: everything about
+/// the ray that does not depend on the link's Friis reference. Within a
+/// freeze (or one pointwise evaluation) the ray's rotation and carrier
+/// phase are constant, so they are evaluated once here rather than per
+/// bias cell.
+struct RayTerm {
+  double amplitude_scale = 0.0;  ///< MultipathRay::amplitude_scale
+  em::Complex phase{1.0, 0.0};   ///< e^{j phase_rad}
+  em::JonesVector rotated_state; ///< R(polarization_rotation) * tx_state
+};
+
+/// The ray terms of every ray of `env` for the transmitted state
+/// `tx_state`, in ray order.
+[[nodiscard]] std::vector<RayTerm> ray_terms(const Environment& env,
+                                             const em::JonesVector& tx_state);
+
 /// Composes the field at the receiver: LoS Jones state (already scaled by
-/// Friis amplitude and any surface response) plus each multipath ray applied
-/// to the transmitted state. Used by PropagationScene; exposed for tests.
-[[nodiscard]] em::JonesVector combine_multipath(
-    const em::JonesVector& los_at_rx, const em::JonesVector& tx_state,
-    double friis_amp, const Environment& env);
+/// Friis amplitude and any surface response) plus each ray term scaled by
+/// (friis_amp * amplitude_scale) * phase. Used by PropagationScene; exposed
+/// for tests.
+[[nodiscard]] em::JonesVector combine_multipath(const em::JonesVector& los_at_rx,
+                                                std::span<const RayTerm> rays,
+                                                double friis_amp);
 
 }  // namespace llama::channel

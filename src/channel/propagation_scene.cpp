@@ -38,6 +38,28 @@ double mean_copolar(const JonesMatrix& r) {
   return 0.5 * (std::abs(r.at(0, 0)) + std::abs(r.at(1, 1)));
 }
 
+/// Field at the receiver with the swept surface at `response` and every
+/// other contribution as frozen: the one body of received_power_swept and
+/// received_mw_swept. Forced inline: the Algorithm-1 rounds call
+/// received_power_swept once per bias cell.
+[[gnu::always_inline]] inline JonesVector swept_field(const PropagationScene::FrozenEval& frozen,
+                        const JonesMatrix& response) {
+  JonesVector field = frozen.fixed_total;
+  for (const PropagationScene::FrozenEval::SweptTerm& term : frozen.terms) {
+    JonesVector v = response * term.state;
+    if (term.has_post) v = term.post * v;
+    field = field + term.scale * v;
+  }
+  if (frozen.has_multipath) {
+    const double ray_scale = frozen.swept_scales_rays
+                                 ? mean_copolar(response)
+                                 : frozen.frozen_ray_scale;
+    field = combine_multipath(field, frozen.rays,
+                              frozen.ray_ref_base * ray_scale);
+  }
+  return field;
+}
+
 }  // namespace
 
 double LinkGeometry::rx_surface_distance_m() const {
@@ -282,8 +304,8 @@ em::JonesVector PropagationScene::field_at_receiver(
     if (geometry_.mode == metasurface::SurfaceMode::kTransmissive &&
         home != nullptr)
       ray_scale = mean_copolar(*home);
-    at_rx = combine_multipath(at_rx, tx_state,
-                              multipath_reference(f) * ray_scale, env_);
+    at_rx = combine_multipath(at_rx, ray_terms(env_, tx_state),
+                              multipath_reference(f) * ray_scale);
   }
   return at_rx;
 }
@@ -304,20 +326,22 @@ PropagationScene::ReceiveSide PropagationScene::receive_side() const {
                      env_.interference_floor().to_mw().value()};
 }
 
-common::PowerDbm PropagationScene::power_from_field(
-    const em::JonesVector& field, const ReceiveSide& rx) {
+double PropagationScene::power_mw_from_field(const em::JonesVector& field,
+                                             const ReceiveSide& rx) {
   const double plf = field.polarization_match(rx.state);
   double p_mw = field.power() * plf * rx.gain;
   // Ambient in-band interference adds incoherently at the receiver.
   p_mw += rx.interference_mw;
-  return common::PowerMw{std::max(p_mw, 1e-15)}.to_dbm();
+  return std::max(p_mw, 1e-15);
 }
 
 common::PowerDbm PropagationScene::received_power(
     common::PowerDbm tx_power, common::Frequency f,
     ResponseView responses) const {
-  return power_from_field(field_at_receiver(tx_power, f, responses),
-                          receive_side());
+  return common::PowerMw{
+      power_mw_from_field(field_at_receiver(tx_power, f, responses),
+                          receive_side())}
+      .to_dbm();
 }
 
 common::PowerDbm PropagationScene::received_power_with_response(
@@ -429,6 +453,7 @@ PropagationScene::FrozenEval PropagationScene::freeze_except(
 
   fz.has_multipath = env_.has_multipath();
   if (fz.has_multipath) {
+    fz.rays = ray_terms(env_, fz.tx_state);
     fz.ray_ref_base = multipath_reference(f);
     if (transmissive) {
       if (swept == kHomeSurface) {
@@ -444,27 +469,32 @@ PropagationScene::FrozenEval PropagationScene::freeze_except(
   return fz;
 }
 
-common::PowerDbm PropagationScene::received_power_swept(
-    const FrozenEval& frozen, const em::JonesMatrix& response) const {
+void PropagationScene::require_fresh(const FrozenEval& frozen) const {
   if (frozen.revision != revision_)
     throw std::logic_error{
         "PropagationScene: frozen evaluation is stale — the scene mutated "
         "(set_geometry/set_tx_antenna/set_rx_antenna or an added surface) "
         "after freeze_except(); rebuild the frozen plan"};
-  JonesVector field = frozen.fixed_total;
-  for (const FrozenEval::SweptTerm& term : frozen.terms) {
-    JonesVector v = response * term.state;
-    if (term.has_post) v = term.post * v;
-    field = field + term.scale * v;
-  }
-  if (frozen.has_multipath) {
-    const double ray_scale = frozen.swept_scales_rays
-                                 ? mean_copolar(response)
-                                 : frozen.frozen_ray_scale;
-    field = combine_multipath(field, frozen.tx_state,
-                              frozen.ray_ref_base * ray_scale, env_);
-  }
-  return power_from_field(field, frozen.rx);
+}
+
+common::PowerDbm PropagationScene::received_power_swept(
+    const FrozenEval& frozen, const em::JonesMatrix& response) const {
+  require_fresh(frozen);
+  return common::PowerMw{
+      power_mw_from_field(swept_field(frozen, response), frozen.rx)}
+      .to_dbm();
+}
+
+void PropagationScene::received_mw_swept(
+    const FrozenEval& frozen, std::span<const em::JonesMatrix> responses,
+    std::span<double> out_mw) const {
+  if (responses.size() != out_mw.size())
+    throw std::invalid_argument{
+        "PropagationScene: received_mw_swept needs one output per response"};
+  require_fresh(frozen);
+  for (std::size_t i = 0; i < responses.size(); ++i)
+    out_mw[i] = power_mw_from_field(swept_field(frozen, responses[i]),
+                                    frozen.rx);
 }
 
 void PropagationScene::refreeze_cells(FrozenEval& frozen,

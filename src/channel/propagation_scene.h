@@ -301,6 +301,9 @@ class PropagationScene {
     double ray_ref_base = 0.0;    ///< friis * endpoint suppression
     double frozen_ray_scale = 1.0;
     bool has_multipath = false;
+    /// The environment's rays applied to tx_state (empty without
+    /// multipath): a cell pays no rotation or phase of its own.
+    std::vector<RayTerm> rays;
   };
 
   /// Freezes every contribution except surface `swept`'s. `frozen`
@@ -318,6 +321,19 @@ class PropagationScene {
   /// the scene mutated after the freeze (stale plan).
   [[nodiscard]] common::PowerDbm received_power_swept(
       const FrozenEval& frozen, const em::JonesMatrix& response) const;
+
+  /// Linear form of received_power_swept over a row of responses:
+  /// out_mw[i] is the clamped power max(p, 1e-15) mW that
+  /// received_power_swept(frozen, responses[i]) converts to dBm, computed
+  /// by the same swept-field body, so PowerMw{out_mw[i]}.to_dbm() equals
+  /// it bit for bit. The conversion is monotone (non-decreasing), so a
+  /// caller that only needs the best few cells of a plane can rank in mW
+  /// and convert just those (CodebookCompiler::compile does). Throws
+  /// std::invalid_argument when the spans differ in length and
+  /// std::logic_error when the scene mutated after the freeze.
+  void received_mw_swept(const FrozenEval& frozen,
+                         std::span<const em::JonesMatrix> responses,
+                         std::span<double> out_mw) const;
 
   /// Recomputes only the named spatial cells' frozen fields (surfaces in
   /// those cells retuned; `frozen` supplies the new responses) and re-sums
@@ -356,9 +372,12 @@ class PropagationScene {
   [[nodiscard]] em::JonesVector launch_state(common::PowerDbm tx_power) const;
   [[nodiscard]] ReceiveSide receive_side() const;
   /// Field -> polarization match -> rx gain -> plus the interference
-  /// floor: the one power body of the pointwise and the swept paths.
-  [[nodiscard]] static common::PowerDbm power_from_field(
-      const em::JonesVector& field, const ReceiveSide& rx);
+  /// floor, clamped at 1e-15 mW: the one power body of the pointwise and
+  /// the swept paths (callers convert to dBm).
+  [[nodiscard]] static double power_mw_from_field(const em::JonesVector& field,
+                                                  const ReceiveSide& rx);
+  /// Throws std::logic_error unless `frozen` carries the current revision.
+  void require_fresh(const FrozenEval& frozen) const;
   /// friis(los) * endpoint suppression — the multipath reference before
   /// any surface transmission scale.
   [[nodiscard]] double multipath_reference(common::Frequency f) const;

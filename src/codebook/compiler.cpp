@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -195,6 +195,19 @@ void CompilerOptions::validate() const {
   require(common::stepped_range_fits(v_min.value(), v_max.value(),
                                      v_step.value()),
           "v_step must leave fewer than 5e7 steps from v_min to v_max");
+  // 1024 points per axis already fill the plane, so the axis is built only
+  // when it is short enough to count cheaply.
+  const auto plane_fits = [&] {
+    if ((v_max.value() - v_min.value()) / v_step.value() >= 1024.0)
+      return false;
+    const std::size_t n = common::stepped_range(v_min.value(), v_max.value(),
+                                                v_step.value())
+                              .size();
+    return n * n <= kMaxBiasPlaneCells;
+  };
+  require(plane_fits(),
+          "v_step must leave the bias plane at most 2^20 cells (1024 x 1024) "
+          "from v_min to v_max");
 }
 
 Codebook CodebookCompiler::compile(const CompilerOptions& options) const {
@@ -246,6 +259,7 @@ Codebook CodebookCompiler::compile(const CompilerOptions& options) const {
       std::min<std::uint64_t>(options.top_k, grid_cells - 1), kMaxTopK);
 
   const radio::Receiver receiver{config_.receiver, common::Rng{0}};
+  const double noise_mw = receiver.noise_floor_dbm().to_mw().value();
   std::vector<CellEntry> cells(n_f * n_o);
 
   for (std::size_t fi = 0; fi < n_f; ++fi) {
@@ -275,42 +289,63 @@ Codebook CodebookCompiler::compile(const CompilerOptions& options) const {
                               config_.tx_power, f,
                               channel::PropagationScene::ResponseView{});
 
-      // Power plane in FullGridSweep's scan order (vy outer, vx inner).
-      std::vector<double> powers(grid_cells);
+      // Linear plane in FullGridSweep's scan order (vy outer, vx inner).
+      std::vector<double> lin(grid_cells);
       for (std::size_t iy = 0; iy < vys.size(); ++iy)
-        for (std::size_t ix = 0; ix < vxs.size(); ++ix)
-          powers[iy * vxs.size() + ix] =
-              receiver
-                  .expected_measure(scene.received_power_swept(
-                      frozen, responses[iy][ix]))
-                  .value();
+        scene.received_mw_swept(
+            frozen, responses[iy],
+            std::span<double>{lin}.subspan(iy * vxs.size(), vxs.size()));
 
-      // Top-(K+1) cells by power, scan order breaking ties — the same
-      // winner FullGridSweep::run would report.
-      std::vector<std::size_t> order(grid_cells);
-      std::iota(order.begin(), order.end(), std::size_t{0});
+      // s*, the (K+1)-th largest linear power. NaN ranks first, so a plane
+      // broken upstream reaches expected_measure, which rejects it.
       const std::size_t keep = static_cast<std::size_t>(header.top_k) + 1;
-      std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(keep),
-                        order.end(), [&](std::size_t a, std::size_t b) {
-                          if (powers[a] != powers[b])
-                            return powers[a] > powers[b];
-                          return a < b;
-                        });
+      std::vector<double> ranked = lin;
+      std::nth_element(ranked.begin(),
+                       ranked.begin() + static_cast<std::ptrdiff_t>(keep - 1),
+                       ranked.end(), [](double a, double b) {
+                         return a > b || (std::isnan(a) && !std::isnan(b));
+                       });
+      const double s_star = ranked[keep - 1];
+      // Candidates: every cell within the exactness margin of s* (see
+      // compiler.h). Only they pay the dBm chain; each excluded cell reads
+      // strictly below the K+1 cells at or above s*.
+      const double floor_mw =
+          s_star - (s_star + noise_mw + 1e-15) * kRankingMargin;
+      std::vector<std::pair<double, std::size_t>> candidates;
+      for (std::size_t flat = 0; flat < grid_cells; ++flat)
+        if (!(lin[flat] < floor_mw))
+          candidates.emplace_back(
+              receiver
+                  .expected_measure(common::PowerMw{lin[flat]}.to_dbm())
+                  .value(),
+              flat);
 
-      const auto to_point = [&](std::size_t flat) {
+      LLAMA_INVARIANT(candidates.size() >= keep,
+                      "every cell at or above s* is a candidate");
+      // Top-(K+1) cells by measured power, scan order breaking ties — the
+      // same winner FullGridSweep::run would report.
+      std::partial_sort(
+          candidates.begin(),
+          candidates.begin() + static_cast<std::ptrdiff_t>(keep),
+          candidates.end(), [](const auto& a, const auto& b) {
+            if (a.first != b.first) return a.first > b.first;
+            return a.second < b.second;
+          });
+
+      const auto to_point = [&](const std::pair<double, std::size_t>& c) {
         BiasPoint p;
-        p.vx = common::Voltage{vxs[flat % vxs.size()]};
-        p.vy = common::Voltage{vys[flat / vxs.size()]};
-        p.predicted_power = common::PowerDbm{powers[flat]};
+        p.vx = common::Voltage{vxs[c.second % vxs.size()]};
+        p.vy = common::Voltage{vys[c.second / vxs.size()]};
+        p.predicted_power = common::PowerDbm{c.first};
         return p;
       };
       LLAMA_INVARIANT(fi * n_o + oi < cells.size(),
                       "shard writes only its own lattice slot");
       CellEntry& cell = cells[fi * n_o + oi];
-      cell.best = to_point(order[0]);
+      cell.best = to_point(candidates[0]);
       cell.refinement.reserve(keep - 1);
       for (std::size_t k = 1; k < keep; ++k)
-        cell.refinement.push_back(to_point(order[k]));
+        cell.refinement.push_back(to_point(candidates[k]));
       LLAMA_ENSURES(cell.refinement.size() == header.top_k,
                     "every cell carries exactly top_k refinement points");
     });

@@ -11,12 +11,29 @@
 // re-projected through the link budget per orientation, so a full lattice
 // compiles in seconds where naive per-cell sweeps would take minutes.
 //
+// Ranking in linear power: a cell's measured power is
+// expected_measure(PowerMw{lin}.to_dbm()), where lin is the clamped mW
+// value PropagationScene::received_mw_swept returns, and that chain is
+// non-decreasing in lin. So each orientation's plane is filled in mW, s*
+// (its (K+1)-th largest value) is selected, and only the cells with
+// lin >= s* - (s* + noise_mw + 1e-15) * kRankingMargin pay the dBm chain
+// (log10, pow, log10). The candidates are then ordered exactly as before
+// (measured power descending, scan index breaking ties), so the codebook is
+// byte-identical to ranking every cell. Why this is exact: the chain's
+// rounding error is ~1e-14 relative to lin + noise_mw, five orders below
+// the margin, so every excluded cell measures strictly below each of the
+// K+1 cells at or above s*. Cells that tie after rounding (a noise-
+// dominated plane, or one where every cell clamps at 1e-15 mW) sit inside
+// the margin and keep the scan-order tie-break; the 1e-15 term keeps the
+// clamp itself inside the margin.
+//
 // The resulting Codebook carries a configuration hash (see
 // system_config_hash / deployment_config_hash) binding it to the link
 // parameters it was compiled for; integrations reject a mismatched hash
 // with CodebookStaleError rather than serving stale biases.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -27,6 +44,14 @@
 #include "src/deploy/deployment_engine.h"
 
 namespace llama::codebook {
+
+/// Relative margin around s* inside which compile ranks cells by their
+/// measured dBm (see the header comment).
+inline constexpr double kRankingMargin = 1e-9;
+
+/// Most bias-plane cells a compile accepts: 2^20 cells (a 1024 x 1024
+/// plane) is 64 MiB of 64-byte JonesMatrix responses per frequency.
+inline constexpr std::size_t kMaxBiasPlaneCells = std::size_t{1} << 20;
 
 /// Lattice and bias-grid parameters of a compile run.
 struct CompilerOptions {
@@ -64,8 +89,9 @@ struct CompilerOptions {
   /// steps are finite and positive; orientation bounds are finite; each
   /// axis is non-empty (max >= min for a stepped axis, max > min for a
   /// count-based axis of more than one point); v_min <= v_max within the
-  /// supply's [0, 30] V; and every step leaves its axis fewer points than
-  /// common::stepped_range accepts.
+  /// supply's [0, 30] V; every step leaves its axis fewer points than
+  /// common::stepped_range accepts; and v_step leaves the bias plane at
+  /// most kMaxBiasPlaneCells cells.
   void validate() const;
 };
 

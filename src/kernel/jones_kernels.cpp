@@ -256,20 +256,8 @@ ReflectionKernel::ReflectionKernel(
   wgd_ = metasurface::kDeepPathWeight *
          (ft * JonesMatrix{zero_c, zero_c, zero_c, one_c} * f);
 
-  front_uses_bias_ = plan.front_uses_bias;
-  if (front_uses_bias_) {
-    const metasurface::StackElement& first = stack.elements().front();
-    axis_s_lanes(plan.front_plan.x, plan.front_plan.omega,
-                 first.board.varactor(), vx, AxisOutput::kS11, nullptr, &r0x_);
-    axis_s_lanes(plan.front_plan.y, plan.front_plan.omega,
-                 first.board.varactor(), vy, AxisOutput::kS11, nullptr, &r0y_);
-    const RotationCoeffs fc = rotation_coeffs(first.rotation);
-    fc2_ = fc.c2;
-    fs2_ = fc.s2;
-    fcs_ = fc.cs;
-  } else {
-    gamma_front_ = plan.gamma_front;
-  }
+  front_is_target_ = plan.front_is_target;
+  if (!front_is_target_) gamma_front_ = plan.gamma_front;
 }
 
 void ReflectionKernel::set_blend(const StuckBlend& blend) {
@@ -297,10 +285,6 @@ void ReflectionKernel::eval_cells(std::size_t rx_offset, std::size_t ry_offset,
   const double* rxi = rx_.im.data() + rx_offset;
   const double* ryr = ry_.re.data() + ry_offset;
   const double* ryi = ry_.im.data() + ry_offset;
-  const double* x0r = front_uses_bias_ ? r0x_.re.data() + rx_offset : nullptr;
-  const double* x0i = front_uses_bias_ ? r0x_.im.data() + rx_offset : nullptr;
-  const double* y0r = front_uses_bias_ ? r0y_.re.data() + ry_offset : nullptr;
-  const double* y0i = front_uses_bias_ ? r0y_.im.data() + ry_offset : nullptr;
   const double kfbr = metasurface::kFrontBirefringence.real();
   const double kfbi = metasurface::kFrontBirefringence.imag();
   for (std::size_t i = 0; i < n; ++i) {
@@ -311,18 +295,19 @@ void ReflectionKernel::eval_cells(std::size_t rx_offset, std::size_t ry_offset,
     const Complex b{cs_ * (xr - yr), cs_ * (xi - yi)};
     const Complex d{s2_ * xr + c2_ * yr, s2_ * xi + c2_ * yi};
     Complex gf00, gf01, gf10, gf11;
-    if (front_uses_bias_) {
-      const Complex r0x{x0r[i], x0i[i]};
-      const Complex r0y{y0r[i * RyStride], y0i[i * RyStride]};
-      // front_gamma (rotator_stack.h) in decomposed per-cell form.
+    if (front_is_target_) {
+      // front_gamma (rotator_stack.h) in decomposed per-cell form, over the
+      // target's own S11 and rotation: the front face is the target.
+      const Complex r0x{xr, xi};
+      const Complex r0y{yr, yi};
       const Complex rm = 0.5 * (r0x + r0y);
       const Complex p = r0x - rm;
       const Complex q = r0y - rm;
       const Complex kfb{kfbr, kfbi};
-      gf00 = rm + kfb * (fc2_ * p + fs2_ * q);
-      gf01 = kfb * (fcs_ * (p - q));
+      gf00 = rm + kfb * (c2_ * p + s2_ * q);
+      gf01 = kfb * (cs_ * (p - q));
       gf10 = gf01;
-      gf11 = rm + kfb * (fs2_ * p + fc2_ * q);
+      gf11 = rm + kfb * (s2_ * p + c2_ * q);
     } else {
       gf00 = gamma_front_.at(0, 0);
       gf01 = gamma_front_.at(0, 1);

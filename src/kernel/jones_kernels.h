@@ -132,12 +132,10 @@ class ReflectionKernel {
   /// kDeepPathWeight * F^T E_k F for E_k in {E00, E01+E10, E11}.
   em::JonesMatrix wga_, wgb_, wgd_;
   /// Front-face specular term: constant when the first board is static,
-  /// otherwise rebuilt per cell from these S11 lanes.
-  bool front_uses_bias_ = false;
+  /// otherwise (the first board is the tunable target) rebuilt per cell
+  /// from the target's rx_/ry_ lanes.
+  bool front_is_target_ = false;
   em::JonesMatrix gamma_front_;
-  ComplexLanes r0x_;
-  ComplexLanes r0y_;
-  double fc2_ = 1.0, fs2_ = 0.0, fcs_ = 0.0;  ///< front rotation coefficients
   bool blend_enabled_ = false;
   StuckBlend blend_;
 };

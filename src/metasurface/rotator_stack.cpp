@@ -150,15 +150,16 @@ RotatorStack::ReflectionPlan RotatorStack::plan_reflection(
   plan.target_uses_bias = elements_[target].tunable;
   plan.target_plan = elements_[target].board.make_frequency_plan(f);
 
+  // A tunable first element is the first tunable one, hence the target.
   const StackElement& first = elements_.front();
-  plan.front_uses_bias = first.tunable;
-  plan.front_plan = first.board.make_frequency_plan(f);
+  plan.front_is_target = first.tunable;
   if (!first.tunable) {
+    const BoardFrequencyPlan front_plan = first.board.make_frequency_plan(f);
     const common::Voltage v0{0.0};
     const Complex r0x =
-        first.board.axis_reflection(plan.front_plan, v0, /*y_axis=*/false);
+        first.board.axis_reflection(front_plan, v0, /*y_axis=*/false);
     const Complex r0y =
-        first.board.axis_reflection(plan.front_plan, v0, /*y_axis=*/true);
+        first.board.axis_reflection(front_plan, v0, /*y_axis=*/true);
     plan.gamma_front = front_gamma(r0x, r0y, first.rotation);
   }
   return plan;
@@ -183,15 +184,9 @@ JonesMatrix RotatorStack::reflection(const ReflectionPlan& plan,
   // the tunable section adds the bias-DEPENDENT part. This split is why
   // reflective heatmaps show much weaker voltage contrast than transmissive
   // ones (paper Section 5.2.1).
-  JonesMatrix gamma_front = plan.gamma_front;
-  if (plan.front_uses_bias) {
-    const StackElement& first = elements_.front();
-    const Complex r0x =
-        first.board.axis_reflection(plan.front_plan, vx, /*y_axis=*/false);
-    const Complex r0y =
-        first.board.axis_reflection(plan.front_plan, vy, /*y_axis=*/true);
-    gamma_front = front_gamma(r0x, r0y, first.rotation);
-  }
+  const JonesMatrix gamma_front =
+      plan.front_is_target ? front_gamma(rx, ry, target.rotation)
+                           : plan.gamma_front;
   // Round trip of the deep component: forward in, reflect, transpose out
   // (for a reciprocal layer the backward Jones matrix is the transpose of
   // the forward one). It is attenuated by re-traversal spillover off the

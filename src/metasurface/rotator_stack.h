@@ -82,17 +82,18 @@ class RotatorStack {
   };
 
   /// Bias-independent precomputation of reflection() at one frequency: the
-  /// forward cascade through the leading fixed boards, plus per-frequency
-  /// plans for the boards whose reflection coefficients enter the result.
+  /// forward cascade through the leading fixed boards, plus the per-frequency
+  /// plan of the board the deep bounce reflects off.
   struct ReflectionPlan {
     common::Frequency frequency;
     em::JonesMatrix forward;          ///< prefix cascade (bias-independent)
     std::size_t target_index = 0;     ///< element the deep bounce reflects off
     bool target_uses_bias = false;
     BoardFrequencyPlan target_plan;
-    bool front_uses_bias = false;
-    BoardFrequencyPlan front_plan;    ///< read per bias only when tunable
-    em::JonesMatrix gamma_front;      ///< precomputed when bias-independent
+    /// The first element is tunable, so it is also the deep-bounce target:
+    /// the front face's per-bias S11 are the target's, solved once.
+    bool front_is_target = false;
+    em::JonesMatrix gamma_front;      ///< precomputed unless front_is_target
   };
 
   explicit RotatorStack(std::vector<StackElement> elements);

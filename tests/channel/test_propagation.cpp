@@ -83,7 +83,7 @@ TEST(CombineMultipath, NoRaysIsIdentity) {
   const em::JonesVector los{em::Complex{0.1, 0.0}, em::Complex{0.0, 0.0}};
   const em::JonesVector tx = em::JonesVector::horizontal();
   const Environment env = Environment::absorber_chamber();
-  const auto out = combine_multipath(los, tx, 1e-2, env);
+  const auto out = combine_multipath(los, ray_terms(env, tx), 1e-2);
   EXPECT_DOUBLE_EQ(out.power(), los.power());
 }
 
@@ -92,7 +92,7 @@ TEST(CombineMultipath, RaysAddPowerOnAverage) {
   const Environment env = Environment::laboratory(rng, 50, 0.3);
   const em::JonesVector tx = em::JonesVector::horizontal();
   const em::JonesVector los{em::Complex{0.0, 0.0}, em::Complex{0.0, 0.0}};
-  const auto out = combine_multipath(los, tx, 1e-2, env);
+  const auto out = combine_multipath(los, ray_terms(env, tx), 1e-2);
   EXPECT_GT(out.power(), 0.0);
 }
 
@@ -101,8 +101,8 @@ TEST(CombineMultipath, RayAmplitudeScalesWithReference) {
   const Environment env = Environment::laboratory(rng, 10, 0.3);
   const em::JonesVector tx = em::JonesVector::horizontal();
   const em::JonesVector zero{em::Complex{0.0, 0.0}, em::Complex{0.0, 0.0}};
-  const double p1 = combine_multipath(zero, tx, 1e-2, env).power();
-  const double p2 = combine_multipath(zero, tx, 2e-2, env).power();
+  const double p1 = combine_multipath(zero, ray_terms(env, tx), 1e-2).power();
+  const double p2 = combine_multipath(zero, ray_terms(env, tx), 2e-2).power();
   EXPECT_NEAR(p2 / p1, 4.0, 1e-9);  // amplitude x2 => power x4
 }
 

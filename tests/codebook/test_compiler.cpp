@@ -142,6 +142,10 @@ TEST(CompilerOptions, CompileRejectsAnInvalidOptionNamingTheField) {
       {"v_step", [&](CompilerOptions& o) { o.v_step = Voltage{nan}; }},
       {"v_step", [](CompilerOptions& o) { o.v_step = Voltage{0.0}; }},
       {"v_step", [](CompilerOptions& o) { o.v_step = Voltage{1e-9}; }},
+      // 30001^2 cells: ~58 GB of responses per frequency.
+      {"v_step", [](CompilerOptions& o) { o.v_step = Voltage{1e-3}; }},
+      // 1025 points per axis: one row past the 2^20-cell plane.
+      {"v_step", [](CompilerOptions& o) { o.v_step = Voltage{30.0 / 1024}; }},
       {"v_min", [](CompilerOptions& o) { o.v_min = Voltage{-5.0}; }},
       {"v_min", [&](CompilerOptions& o) { o.v_min = Voltage{nan}; }},
       {"v_max", [](CompilerOptions& o) { o.v_max = Voltage{60.0}; }},
@@ -163,6 +167,9 @@ TEST(CompilerOptions, CompileRejectsAnInvalidOptionNamingTheField) {
   const CodebookCompiler compiler{test_config()};
   const CompilerOptions base = small_options();
   EXPECT_NO_THROW(base.validate());
+  CompilerOptions largest_plane = base;  // 1024 x 1024 cells
+  largest_plane.v_step = Voltage{30.0 / 1023};
+  EXPECT_NO_THROW(largest_plane.validate());
   for (const Rule& rule : rules) {
     CompilerOptions bad = base;
     rule.break_options(bad);

@@ -481,6 +481,20 @@ TEST(TransmissionPlan, StartsAtTheFirstTunableAndMarksRepeatedBoards) {
   EXPECT_TRUE(stacks[3].plan_transmission(f).steps.empty());
 }
 
+TEST(ReflectionPlan, FrontFaceReusesTheTargetOnlyWhenTheFirstIsTunable) {
+  const Frequency f = Frequency::ghz(2.44);
+  // Prototype: a static QWP faces the wave; its reflection is precomputed.
+  const RotatorStack::ReflectionPlan proto =
+      prototype_fr4_design().plan_reflection(f);
+  EXPECT_FALSE(proto.front_is_target);
+  EXPECT_EQ(proto.target_index, 2u);
+  // Hand-built stack 2: the tunable first element is the deep target too.
+  const RotatorStack::ReflectionPlan first_tunable =
+      hand_built_stacks()[2].plan_reflection(f);
+  EXPECT_TRUE(first_tunable.front_is_target);
+  EXPECT_EQ(first_tunable.target_index, 0u);
+}
+
 TEST(CascadeGolden, PrototypeBoardSParamsMatchRecordedBits) {
   const RotatorStack stack = prototype_fr4_design();
   for (const SParamsGolden& g : kSParams) {
