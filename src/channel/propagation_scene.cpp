@@ -42,8 +42,8 @@ double mean_copolar(const JonesMatrix& r) {
 /// other contribution as frozen: the one body of received_power_swept and
 /// received_mw_swept. Forced inline: the Algorithm-1 rounds call
 /// received_power_swept once per bias cell.
-[[gnu::always_inline]] inline JonesVector swept_field(const PropagationScene::FrozenEval& frozen,
-                        const JonesMatrix& response) {
+[[gnu::always_inline]] inline JonesVector swept_field(
+    const PropagationScene::FrozenEval& frozen, const JonesMatrix& response) {
   JonesVector field = frozen.fixed_total;
   for (const PropagationScene::FrozenEval::SweptTerm& term : frozen.terms) {
     JonesVector v = response * term.state;

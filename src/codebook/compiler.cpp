@@ -17,6 +17,10 @@ namespace llama::codebook {
 
 namespace {
 
+/// Relative margin around s* inside which compile ranks cells by their
+/// measured dBm (see compiler.h for why it is exact).
+constexpr double kRankingMargin = 1e-9;
+
 void mix_antenna(common::Hasher64& h, const channel::Antenna& a,
                  bool include_orientation) {
   h.mix_string(a.name());

@@ -16,7 +16,7 @@
 // value PropagationScene::received_mw_swept returns, and that chain is
 // non-decreasing in lin. So each orientation's plane is filled in mW, s*
 // (its (K+1)-th largest value) is selected, and only the cells with
-// lin >= s* - (s* + noise_mw + 1e-15) * kRankingMargin pay the dBm chain
+// lin >= s* - (s* + noise_mw + 1e-15) * 1e-9 pay the dBm chain
 // (log10, pow, log10). The candidates are then ordered exactly as before
 // (measured power descending, scan index breaking ties), so the codebook is
 // byte-identical to ranking every cell. Why this is exact: the chain's
@@ -44,10 +44,6 @@
 #include "src/deploy/deployment_engine.h"
 
 namespace llama::codebook {
-
-/// Relative margin around s* inside which compile ranks cells by their
-/// measured dBm (see the header comment).
-inline constexpr double kRankingMargin = 1e-9;
 
 /// Most bias-plane cells a compile accepts: 2^20 cells (a 1024 x 1024
 /// plane) is 64 MiB of 64-byte JonesMatrix responses per frequency.
