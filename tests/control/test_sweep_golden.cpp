@@ -210,6 +210,17 @@ TEST(SweepGolden, RandomSearchOnSyntheticPlant) {
                -0x1.e43a66e1891f9p+4, 50, 0x1.0000000000002p+0);
 }
 
+TEST(SweepGolden, AblationRandomSearchOnTheMismatchLink) {
+  // bench_paper's search-ablation random-search row: 50 noise-free
+  // expected-power probes on the quickstart link.
+  core::LlamaSystem sys{core::transmissive_mismatch_config()};
+  PowerSupply psu;
+  RandomSearch search{psu, {}, common::Rng{99}};
+  const SweepResult r = search.run(sys.make_batch_probe());
+  expect_sweep(r, 0x1.03a84cfefb2b5p+1, 0x1.d98acc5f9ee87p+4,
+               -0x1.4c075baa3973p+4, 50, 0x1.0000000000002p+0);
+}
+
 std::uint64_t track_hash(const track::TrackReport& t) {
   Fnv f;
   f.add(static_cast<double>(t.ticks));

@@ -300,6 +300,42 @@ TEST(GoldenEquivalence, ThreadCountDoesNotChangeBatchBytes) {
   }
 }
 
+/// Property 3 across shapes: a bias pair evaluated in a batch has the bytes
+/// of the same pair evaluated as a 1x1 grid window — the ablation's random
+/// search may move from response_batch to 1x1 windows without changing a
+/// bit. 700 random points per (mode, carrier), with and without a stuck-cell
+/// blend.
+TEST(GoldenEquivalence, BatchCellsMatchOneCellWindowBytes) {
+  Rng rng{0xC0FFEE06};
+  BiasList points;
+  for (int i = 0; i < 700; ++i)
+    points.emplace_back(Voltage{rng.uniform(-2.0, 33.0)},
+                        Voltage{rng.uniform(-2.0, 33.0)});
+  Metasurface surface = Metasurface::llama_prototype();
+  for (const bool stuck : {false, true}) {
+    if (stuck)
+      surface.set_stuck_cells(
+          metasurface::StuckCellFault{0.3, Voltage{4.0}, Voltage{21.0}});
+    for (const SurfaceMode mode :
+         {SurfaceMode::kTransmissive, SurfaceMode::kReflective})
+      for (const double ghz : {2.40, 2.44, 2.48}) {
+        const Frequency f = Frequency::ghz(ghz);
+        const std::vector<JonesMatrix> batch =
+            surface.response_batch(f, mode, points);
+        ASSERT_EQ(batch.size(), points.size());
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+          const JonesGrid cell =
+              surface.response_grid(f, mode, {points[i].first.value()},
+                                    {points[i].second.value()});
+          if (!same_bytes(cell[0][0], batch[i])) ++mismatches;
+        }
+        EXPECT_EQ(mismatches, 0u) << "stuck=" << stuck << " mode="
+                                  << static_cast<int>(mode) << " f=" << ghz;
+      }
+  }
+}
+
 /// A tunable first element is both the deep-bounce target and the front
 /// face, a shape no catalog design has. Its reflection plane must agree
 /// with the scalar path to 1e-12, and its bytes are pinned (FNV-1a of the
