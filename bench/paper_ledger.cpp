@@ -588,11 +588,14 @@ FigureResult ablation_search() {
     control::PowerSupply psu;
     add(1.0, control::CoarseToFineSweep{psu, {}}.run(sys.make_grid_probe()));
   }
-  {  // random search: probe locations are known up front, so it batches
+  {  // random search: the same expected-power probe, one 1x1 window a draw
     core::LlamaSystem sys{core::transmissive_mismatch_config()};
+    const control::GridPowerProbe grid = sys.make_grid_probe();
     control::PowerSupply psu;
     add(2.0, control::RandomSearch{psu, {}, common::Rng{99}}.run(
-                 sys.make_batch_probe()));
+                 [&](common::Voltage vx, common::Voltage vy) {
+                   return grid({vx.value()}, {vy.value()})[0][0];
+                 }));
   }
   {  // hill climb: inherently sequential; rides the response cache
     core::LlamaSystem sys{core::transmissive_mismatch_config()};

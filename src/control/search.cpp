@@ -4,20 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 
 #include "src/common/math_utils.h"
 
 namespace llama::control {
-
-BatchPowerProbe batch_of(PowerProbe probe) {
-  return [probe = std::move(probe)](const BiasPairList& points) {
-    std::vector<common::PowerDbm> powers;
-    powers.reserve(points.size());
-    for (const auto& [vx, vy] : points) powers.push_back(probe(vx, vy));
-    return powers;
-  };
-}
 
 namespace {
 
@@ -37,32 +27,25 @@ RandomSearch::RandomSearch(PowerSupply& supply, Options options,
                         supply_);
 }
 
-SweepResult RandomSearch::run(const BatchPowerProbe& probe) {
+SweepResult RandomSearch::run(const PowerProbe& probe) {
   const double t0 = supply_.elapsed_s();
-  BiasPairList points;
-  points.reserve(static_cast<std::size_t>(options_.probes));
+  SweepResult result;
+  common::PowerDbm best{-std::numeric_limits<double>::infinity()};
   for (int i = 0; i < options_.probes; ++i) {
     const common::Voltage vx{
         rng_.uniform(options_.v_min.value(), options_.v_max.value())};
     const common::Voltage vy{
         rng_.uniform(options_.v_min.value(), options_.v_max.value())};
-    points.emplace_back(vx, vy);
-  }
-  const std::vector<common::PowerDbm> powers = probe(points);
-  SweepResult result;
-  // The first draw seeds the winner (as in CoarseToFineSweep): a batch whose
-  // every reading is arbitrarily low, or NaN, still reports a probed bias.
-  result.best_vx = points.front().first;
-  result.best_vy = points.front().second;
-  common::PowerDbm best{-std::numeric_limits<double>::infinity()};
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    supply_.set_outputs(points[i].first, points[i].second);
+    supply_.set_outputs(vx, vy);
     ++result.probes;
-    if (powers[i] > best) {
-      best = powers[i];
-      result.best_vx = points[i].first;
-      result.best_vy = points[i].second;
+    const common::PowerDbm p = probe(vx, vy);
+    // The first draw seeds the winner (as in CoarseToFineSweep): a run whose
+    // every reading is arbitrarily low, or NaN, still reports a probed bias.
+    if (i == 0 || p > best) {
+      result.best_vx = vx;
+      result.best_vy = vy;
     }
+    if (p > best) best = p;
   }
   result.best_power = best;
   result.time_cost_s = supply_.elapsed_s() - t0;

@@ -1,32 +1,14 @@
 // Alternative bias-search strategies, used as ablation baselines against
 // the paper's Algorithm 1 (sweep.h). Every search costs one supply switch
 // per probe, so search quality and wall-clock cost are directly comparable.
-// Random search knows its probe locations up front and runs over a batch
-// probe; hill climbing and annealing choose each probe from the last one
-// and run over a pointwise PowerProbe.
+// Each runs over a pointwise PowerProbe; a grid probe serves them one 1x1
+// window per probe.
 #pragma once
-
-#include <utility>
-#include <vector>
 
 #include "src/common/rng.h"
 #include "src/control/sweep.h"
 
 namespace llama::control {
-
-/// A list of (Vx, Vy) bias pairs for batch probing.
-using BiasPairList = std::vector<std::pair<common::Voltage, common::Voltage>>;
-
-/// Batched measurement oracle over an arbitrary point list (one power per
-/// input pair). Used by searches whose probe locations are known up front;
-/// the sequential searches below (hill climb, annealing) instead get their
-/// speedup from the metasurface response cache on the point-probe path.
-using BatchPowerProbe =
-    std::function<std::vector<common::PowerDbm>(const BiasPairList& points)>;
-
-/// Lifts a pointwise probe into the batch interface (points measured in
-/// list order).
-[[nodiscard]] BatchPowerProbe batch_of(PowerProbe probe);
 
 /// Uniform random probing with a fixed budget — the no-structure baseline.
 class RandomSearch {
@@ -41,10 +23,10 @@ class RandomSearch {
   /// (validate_search_range).
   RandomSearch(PowerSupply& supply, Options options, common::Rng rng);
 
-  /// Draws every probe location first (vx then vy per probe), measures them
-  /// in one batch, and reduces in draw order. The first draw seeds the
-  /// winner at -inf, so the result is always a probed bias.
-  [[nodiscard]] SweepResult run(const BatchPowerProbe& probe);
+  /// Draws each probe location (vx then vy) and measures it, in draw
+  /// order. The first draw seeds the winner at -inf, so the result is
+  /// always a probed bias.
+  [[nodiscard]] SweepResult run(const PowerProbe& probe);
 
  private:
   PowerSupply& supply_;

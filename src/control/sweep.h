@@ -8,8 +8,8 @@
 //
 // The sweep is decoupled from the plant through a measurement callback so it
 // drives the simulated link, the USRP model, or unit-test stubs alike. Each
-// search has one body over a grid (or batch) probe; a pointwise probe is
-// lifted into that interface with grid_of (or batch_of, search.h).
+// sweep has one body over a grid probe; a pointwise probe is lifted into
+// that interface with grid_of.
 #pragma once
 
 #include <functional>

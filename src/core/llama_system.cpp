@@ -122,26 +122,6 @@ control::GridPowerProbe LlamaSystem::make_grid_probe(int threads) {
   };
 }
 
-control::BatchPowerProbe LlamaSystem::make_batch_probe(int threads) {
-  return [this, threads](const control::BiasPairList& points) {
-    const metasurface::SurfaceMode mode = scene_.geometry().mode;
-    const std::vector<em::JonesMatrix> responses =
-        surface_.response_batch(config_.frequency, mode, points, threads);
-    const channel::PropagationScene::FrozenEval frozen = scene_.freeze_except(
-        channel::PropagationScene::kHomeSurface, config_.tx_power,
-        config_.frequency, scene_responses(nullptr));
-    const em::JonesMatrix zero{em::Complex{0.0, 0.0}, em::Complex{0.0, 0.0},
-                               em::Complex{0.0, 0.0}, em::Complex{0.0, 0.0}};
-    std::vector<common::PowerDbm> powers(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i)
-      powers[i] = receiver_.expected_measure(scene_.received_power_swept(
-          frozen, surface_online_ ? responses[i] : zero));
-    if (!points.empty())
-      surface_.set_bias(points.back().first, points.back().second);
-    return powers;
-  };
-}
-
 void LlamaSystem::enable_fast_probes(metasurface::ResponseCacheConfig config) {
   surface_.enable_response_cache(config);
 }

@@ -226,10 +226,6 @@ class LlamaSystem {
   /// as a cell-by-cell scan would.
   [[nodiscard]] control::GridPowerProbe make_grid_probe(int threads = 0);
 
-  /// Batched probe over an arbitrary bias-pair list (same measurement model
-  /// as make_grid_probe).
-  [[nodiscard]] control::BatchPowerProbe make_batch_probe(int threads = 0);
-
   /// Opt-in: memoizes the surface's response() so sequential searches (hill
   /// climbing, annealing, tracking re-optimizations) stop re-cascading the
   /// stack on revisited bias cells. See ResponseCacheConfig for the

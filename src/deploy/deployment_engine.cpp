@@ -12,7 +12,6 @@
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/control/power_supply.h"
-#include "src/kernel/jones_kernels.h"
 
 namespace llama::deploy {
 
@@ -149,65 +148,30 @@ em::JonesMatrix SharedResponseEngine::response(common::Frequency f,
       quantized_bias(cache_, vx.value(), "SharedResponseEngine: response vx");
   const double vyq =
       quantized_bias(cache_, vy.value(), "SharedResponseEngine: response vy");
-  const metasurface::ResponseCache::Key key = cache_.make_key(
-      f, common::Voltage{vxq}, common::Voltage{vyq}, static_cast<int>(mode));
-  {
-    const std::lock_guard<CountedMutex> lock(cache_mutex_);
-    if (auto hit = cache_.find(key)) return *hit;
-  }
-  // Miss: a 1x1 window through the same kernels as response_grid, outside
-  // the cache lock. Concurrent misses on one key both compute the same pure
-  // function of (f, quantized bias, mode); the second insert refreshes the
-  // entry with an identical value.
-  metasurface::JonesGrid cell(1, std::vector<em::JonesMatrix>(1));
-  evaluate_window(f, mode, {&vxq, 1}, {&vyq, 1}, cell);
-  {
-    const std::lock_guard<CountedMutex> lock(cache_mutex_);
-    cache_.insert(key, cell[0][0]);
-  }
-  return cell[0][0];
+  em::JonesMatrix cell;
+  em::JonesMatrix* const row = &cell;
+  lookup_window(f, mode, {&vxq, 1}, {&vyq, 1}, {&row, 1});
+  return cell;
 }
 
-std::shared_ptr<const metasurface::RotatorStack::TransmissionPlan>
+const metasurface::RotatorStack::TransmissionPlan&
 SharedResponseEngine::transmission_plan(common::Frequency f) {
   const std::lock_guard<CountedMutex> lock(plan_mutex_);
-  auto& slot = transmission_plans_[plan_key(f)];
-  if (!slot)
-    slot = std::make_shared<const metasurface::RotatorStack::TransmissionPlan>(
-        stack_.plan_transmission(f));
-  return slot;
+  auto it = transmission_plans_.find(plan_key(f));
+  if (it == transmission_plans_.end())
+    it = transmission_plans_.emplace(plan_key(f), stack_.plan_transmission(f))
+             .first;
+  return it->second;
 }
 
-std::shared_ptr<const metasurface::RotatorStack::ReflectionPlan>
+const metasurface::RotatorStack::ReflectionPlan&
 SharedResponseEngine::reflection_plan(common::Frequency f) {
   const std::lock_guard<CountedMutex> lock(plan_mutex_);
-  auto& slot = reflection_plans_[plan_key(f)];
-  if (!slot)
-    slot = std::make_shared<const metasurface::RotatorStack::ReflectionPlan>(
-        stack_.plan_reflection(f));
-  return slot;
-}
-
-void SharedResponseEngine::evaluate_window(common::Frequency f,
-                                           metasurface::SurfaceMode mode,
-                                           std::span<const double> vxq,
-                                           std::span<const double> vyq,
-                                           metasurface::JonesGrid& grid) {
-  // One kernel per window: nx + ny axis solves, then the per-cell cascade.
-  // Each cell is a pure function of (plan, vx, vy) — not of the window's
-  // shape or the cell's place in it — so a cell computed here has the same
-  // bytes as the same key computed in any other window.
-  if (mode == metasurface::SurfaceMode::kTransmissive) {
-    const auto plan = transmission_plan(f);
-    const kernel::TransmissionKernel k{stack_, *plan, vxq, vyq};
-    for (std::size_t iy = 0; iy < vyq.size(); ++iy)
-      k.eval_grid_row(iy, grid[iy].data());
-  } else {
-    const auto plan = reflection_plan(f);
-    const kernel::ReflectionKernel k{stack_, *plan, vxq, vyq};
-    for (std::size_t iy = 0; iy < vyq.size(); ++iy)
-      k.eval_grid_row(iy, grid[iy].data());
-  }
+  auto it = reflection_plans_.find(plan_key(f));
+  if (it == reflection_plans_.end())
+    it = reflection_plans_.emplace(plan_key(f), stack_.plan_reflection(f))
+             .first;
+  return it->second;
 }
 
 metasurface::JonesGrid SharedResponseEngine::response_grid(
@@ -216,8 +180,6 @@ metasurface::JonesGrid SharedResponseEngine::response_grid(
   metasurface::JonesGrid grid(vys.size(),
                               std::vector<em::JonesMatrix>(vxs.size()));
   if (vxs.empty() || vys.empty()) return grid;
-
-  // Clamped, quantized axes and keys, built once per window.
   std::vector<double> vxq(vxs.size());
   std::vector<double> vyq(vys.size());
   for (std::size_t ix = 0; ix < vxs.size(); ++ix)
@@ -226,6 +188,16 @@ metasurface::JonesGrid SharedResponseEngine::response_grid(
   for (std::size_t iy = 0; iy < vys.size(); ++iy)
     vyq[iy] = quantized_bias(cache_, vys[iy],
                              "SharedResponseEngine: response_grid vys");
+  std::vector<em::JonesMatrix*> rows(grid.size());
+  for (std::size_t iy = 0; iy < grid.size(); ++iy) rows[iy] = grid[iy].data();
+  lookup_window(f, mode, vxq, vyq, rows);
+  return grid;
+}
+
+void SharedResponseEngine::lookup_window(
+    common::Frequency f, metasurface::SurfaceMode mode,
+    std::span<const double> vxq, std::span<const double> vyq,
+    std::span<em::JonesMatrix* const> rows) {
   const int mode_key = static_cast<int>(mode);
   const auto key_of = [&](std::size_t iy, std::size_t ix) {
     return cache_.make_key(f, common::Voltage{vxq[ix]},
@@ -236,27 +208,33 @@ metasurface::JonesGrid SharedResponseEngine::response_grid(
   std::vector<std::pair<std::size_t, std::size_t>> misses;
   {
     const std::lock_guard<CountedMutex> lock(cache_mutex_);
-    for (std::size_t iy = 0; iy < vys.size(); ++iy)
-      for (std::size_t ix = 0; ix < vxs.size(); ++ix) {
+    for (std::size_t iy = 0; iy < vyq.size(); ++iy)
+      for (std::size_t ix = 0; ix < vxq.size(); ++ix) {
         if (auto hit = cache_.find(key_of(iy, ix)))
-          grid[iy][ix] = *hit;
+          rows[iy][ix] = *hit;
         else
           misses.emplace_back(iy, ix);
       }
   }
-  if (misses.empty()) return grid;
+  if (misses.empty()) return;
 
-  // Any miss: evaluate the whole window through one kernel outside any
-  // lock. Hit cells recompute to the bytes they were cached with.
-  evaluate_window(f, mode, vxq, vyq, grid);
+  // Any miss: one kernel over the whole window, outside any lock. Each cell
+  // is a pure function of (plan, vx, vy) — not of the window's shape or the
+  // cell's place in it — so hit cells recompute to the bytes they were
+  // cached with, and a key computed here has the bytes it has in any other
+  // window.
+  metasurface::evaluate_plane(
+      stack_, mode, [&]() -> const auto& { return transmission_plan(f); },
+      [&]() -> const auto& { return reflection_plan(f); }, vxq, vyq,
+      /*blend=*/nullptr, /*threads=*/1, rows);
 
-  // Pass 2, one lock: publish the new cells.
+  // Pass 2, one lock: publish the new cells. A key a racing shard published
+  // meanwhile is refreshed with identical bytes and counted as a hit.
   {
     const std::lock_guard<CountedMutex> lock(cache_mutex_);
     for (const auto& [iy, ix] : misses)
-      cache_.insert(key_of(iy, ix), grid[iy][ix]);
+      cache_.insert(key_of(iy, ix), rows[iy][ix]);
   }
-  return grid;
 }
 
 std::size_t SharedResponseEngine::plan_count() const {
@@ -266,30 +244,10 @@ std::size_t SharedResponseEngine::plan_count() const {
 
 metasurface::ResponseCacheStats SharedResponseEngine::cache_stats() const {
   // The counters are relaxed atomics, so a monitor polling statistics never
-  // serializes against device shards inside the two-lock grid path.
+  // serializes against device shards inside the two-lock window path.
   metasurface::ResponseCacheStats stats = cache_.stats();
   stats.lock_contention = plan_mutex_.contended() + cache_mutex_.contended();
   return stats;
-}
-
-std::size_t SharedResponseEngine::cache_size() const {
-  const std::lock_guard<CountedMutex> lock(cache_mutex_);
-  return cache_.size();
-}
-
-void SharedResponseEngine::clear() {
-  {
-    const std::lock_guard<CountedMutex> lock(plan_mutex_);
-    transmission_plans_.clear();
-    reflection_plans_.clear();
-  }
-  {
-    const std::lock_guard<CountedMutex> lock(cache_mutex_);
-    cache_.clear();
-  }
-  // clear() zeroes ALL statistics, the contention tallies included.
-  plan_mutex_.reset();
-  cache_mutex_.reset();
 }
 
 DeploymentEngine::DeploymentEngine(DeploymentConfig config,

@@ -25,9 +25,12 @@
 // window's shape and of the cell's position in it — so a cached value and
 // a fresh one agree byte for byte, concurrent misses that race on one key
 // compute identical matrices, and the engine's results are byte-identical
-// for any thread count; only the hit/miss split varies. Against the scalar
-// planned path (the golden reference) the engine agrees to <= 1e-12 per
-// component, the kernels' contract.
+// for any thread count. So are its hit/miss counts: a key counts one miss
+// when it is first published and a hit on every other lookup (see
+// ResponseCacheStats). Only the work varies — two shards that miss one key
+// at once both evaluate it. Against the scalar planned path (the golden
+// reference) the engine agrees to <= 1e-12 per component, the kernels'
+// contract.
 #pragma once
 
 #include <atomic>
@@ -35,7 +38,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -73,14 +75,10 @@ class CountedMutex {
   void unlock() { mutex_.unlock(); }
   [[nodiscard]] bool try_lock() { return mutex_.try_lock(); }
 
-  /// Contended acquisitions since construction / the last reset().
+  /// Contended acquisitions since construction.
   [[nodiscard]] std::uint64_t contended() const {
     // llama-lint: allow(relaxed-atomic) racy snapshot of a stats counter
     return contended_.load(std::memory_order_relaxed);
-  }
-  void reset() {
-    // llama-lint: allow(relaxed-atomic) stats counter zeroing, no ordering
-    contended_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -97,10 +95,10 @@ class SharedResponseEngine {
                                 metasurface::ResponseCacheConfig cache = {});
 
   /// Cached response at a bias pair (clamped to the 0-30 V supply range,
-  /// then quantized per the cache contract). A miss is evaluated as a 1x1
-  /// kernel window, so it has the same bytes as the cell response_grid
-  /// computes for that key. Safe to call from many threads; the returned
-  /// matrix is a pure function of (frequency, quantized bias, mode). Throws
+  /// then quantized per the cache contract): a 1x1 window through the same
+  /// body as response_grid, so it has the bytes response_grid computes for
+  /// that key. Safe to call from many threads; the returned matrix is a
+  /// pure function of (frequency, quantized bias, mode). Throws
   /// std::invalid_argument when vx or vy is not finite.
   [[nodiscard]] em::JonesMatrix response(common::Frequency f,
                                          metasurface::SurfaceMode mode,
@@ -111,10 +109,7 @@ class SharedResponseEngine {
   /// at (vxs[ix], vys[iy]), byte-equal to pointwise response() calls. The
   /// memo is consulted and refilled with two lock acquisitions for the
   /// entire window (not two per cell), which is what lets many device
-  /// shards probe concurrently without serializing on the cache mutex. An
-  /// all-hit window is served from the memo; otherwise one kernel over the
-  /// window's clamped, quantized axes evaluates every row (hit cells
-  /// recompute to their cached bytes) and only the misses are published.
+  /// shards probe concurrently without serializing on the cache mutex.
   /// Throws std::invalid_argument when any bias is not finite.
   [[nodiscard]] metasurface::JonesGrid response_grid(
       common::Frequency f, metasurface::SurfaceMode mode,
@@ -125,38 +120,36 @@ class SharedResponseEngine {
   /// Snapshot of the shared cache's hit/miss/eviction counters plus the
   /// engine's lock_contention tally (contended acquisitions of the plan
   /// and cache mutexes combined). Lock-free: safe to poll from a monitor
-  /// while device shards are inside the two-lock grid path.
+  /// while device shards are inside the two-lock window path.
   [[nodiscard]] metasurface::ResponseCacheStats cache_stats() const;
-  [[nodiscard]] std::size_t cache_size() const;
-  /// Drops all plans and cached responses and zeroes the statistics.
-  void clear();
 
   [[nodiscard]] const metasurface::RotatorStack& stack() const {
     return stack_;
   }
 
  private:
-  /// Get-or-build the shared plan for a frequency (mutex-protected).
-  [[nodiscard]] std::shared_ptr<
-      const metasurface::RotatorStack::TransmissionPlan>
+  /// Get-or-build the shared plan for a frequency (mutex-protected). Plans
+  /// are never dropped and std::map nodes never move, so the reference
+  /// stays valid, and immutable, for the engine's lifetime.
+  [[nodiscard]] const metasurface::RotatorStack::TransmissionPlan&
   transmission_plan(common::Frequency f);
-  [[nodiscard]] std::shared_ptr<const metasurface::RotatorStack::ReflectionPlan>
+  [[nodiscard]] const metasurface::RotatorStack::ReflectionPlan&
   reflection_plan(common::Frequency f);
 
-  /// Kernel evaluation of the quantized window vxq x vyq on the shared
-  /// plan for (f, mode): writes every grid[iy][ix]. Takes no cache lock.
-  void evaluate_window(common::Frequency f, metasurface::SurfaceMode mode,
-                       std::span<const double> vxq,
-                       std::span<const double> vyq,
-                       metasurface::JonesGrid& grid);
+  /// The one body behind response() and response_grid(), over the clamped,
+  /// quantized window vxq x vyq; row iy lands in rows[iy]. One lock looks
+  /// every cell up. If any missed, one kernel evaluates the whole window
+  /// outside any lock (hit cells recompute to their cached bytes) and a
+  /// second lock publishes the misses.
+  void lookup_window(common::Frequency f, metasurface::SurfaceMode mode,
+                     std::span<const double> vxq, std::span<const double> vyq,
+                     std::span<em::JonesMatrix* const> rows);
 
   const metasurface::RotatorStack stack_;
   mutable CountedMutex plan_mutex_;
-  std::map<double, std::shared_ptr<const metasurface::RotatorStack::
-                                       TransmissionPlan>>
+  std::map<double, metasurface::RotatorStack::TransmissionPlan>
       transmission_plans_;
-  std::map<double,
-           std::shared_ptr<const metasurface::RotatorStack::ReflectionPlan>>
+  std::map<double, metasurface::RotatorStack::ReflectionPlan>
       reflection_plans_;
   mutable CountedMutex cache_mutex_;
   metasurface::ResponseCache cache_;

@@ -88,20 +88,7 @@ void TransmissionKernel::set_blend(const StuckBlend& blend) {
 void TransmissionKernel::eval_grid_row(std::size_t iy,
                                        em::JonesMatrix* out) const {
   LLAMA_EXPECTS(iy < ny_, "row index inside the vy lane");
-  eval_cells<0>(/*tx_offset=*/0, /*ty_offset=*/iy, nx_, out);
-}
-
-void TransmissionKernel::eval_pairs(std::size_t begin, std::size_t end,
-                                    em::JonesMatrix* out) const {
-  LLAMA_EXPECTS(nx_ == ny_, "pairs evaluation needs equal-length bias lanes");
-  LLAMA_EXPECTS(begin <= end && end <= nx_, "pair range inside the lanes");
-  eval_cells<1>(begin, begin, end - begin, out);
-}
-
-template <int TyStride>
-void TransmissionKernel::eval_cells(std::size_t tx_offset,
-                                    std::size_t ty_offset, std::size_t n,
-                                    em::JonesMatrix* out) const {
+  const std::size_t n = nx_;
   if (n == 0) return;
   // Call-local scratch: eight accumulator lanes (split re/im of the running
   // 2x2 cascade), each padded to a whole number of cache lines so every
@@ -129,14 +116,12 @@ void TransmissionKernel::eval_cells(std::size_t tx_offset,
   for (const Op& op : ops_) {
     if (op.tunable) {
       const TunableLanes& t = tunables_[op.lane_index];
-      const double* txr = t.tx.re.data() + tx_offset;
-      const double* txi = t.tx.im.data() + tx_offset;
-      const double* tyr = t.ty.re.data() + ty_offset;
-      const double* tyi = t.ty.im.data() + ty_offset;
+      const double* txr = t.tx.re.data();
+      const double* txi = t.tx.im.data();
+      const double yr = t.ty.re[iy], yi = t.ty.im[iy];  // one row, one vy
       const double c2 = t.c2, s2 = t.s2, cs = t.cs;
       for (std::size_t i = 0; i < n; ++i) {
         const double xr = txr[i], xi = txi[i];
-        const double yr = tyr[i * TyStride], yi = tyi[i * TyStride];
         // Rotated diag(tx, ty): symmetric [[a, b], [b, d]].
         const double ar = c2 * xr + s2 * yr, ai = c2 * xi + s2 * yi;
         const double br = cs * (xr - yr), bi = cs * (xi - yi);
@@ -268,28 +253,13 @@ void ReflectionKernel::set_blend(const StuckBlend& blend) {
 void ReflectionKernel::eval_grid_row(std::size_t iy,
                                      em::JonesMatrix* out) const {
   LLAMA_EXPECTS(iy < ny_, "row index inside the vy lane");
-  eval_cells<0>(/*rx_offset=*/0, /*ry_offset=*/iy, nx_, out);
-}
-
-void ReflectionKernel::eval_pairs(std::size_t begin, std::size_t end,
-                                  em::JonesMatrix* out) const {
-  LLAMA_EXPECTS(nx_ == ny_, "pairs evaluation needs equal-length bias lanes");
-  LLAMA_EXPECTS(begin <= end && end <= nx_, "pair range inside the lanes");
-  eval_cells<1>(begin, begin, end - begin, out);
-}
-
-template <int RyStride>
-void ReflectionKernel::eval_cells(std::size_t rx_offset, std::size_t ry_offset,
-                                  std::size_t n, em::JonesMatrix* out) const {
-  const double* rxr = rx_.re.data() + rx_offset;
-  const double* rxi = rx_.im.data() + rx_offset;
-  const double* ryr = ry_.re.data() + ry_offset;
-  const double* ryi = ry_.im.data() + ry_offset;
+  const double* rxr = rx_.re.data();
+  const double* rxi = rx_.im.data();
+  const double yr = ry_.re[iy], yi = ry_.im[iy];  // one row, one vy
   const double kfbr = metasurface::kFrontBirefringence.real();
   const double kfbi = metasurface::kFrontBirefringence.imag();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < nx_; ++i) {
     const double xr = rxr[i], xi = rxi[i];
-    const double yr = ryr[i * RyStride], yi = ryi[i * RyStride];
     // Rotated diag(rx, ry) coefficients of the deep bounce.
     const Complex a{c2_ * xr + s2_ * yr, c2_ * xi + s2_ * yi};
     const Complex b{cs_ * (xr - yr), cs_ * (xi - yi)};

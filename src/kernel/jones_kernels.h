@@ -39,13 +39,10 @@ struct StuckBlend {
   em::JonesMatrix stuck;
 };
 
-/// Transmission cascade over a bias plane. The same instance serves both
-/// plane shapes:
-///  - grid:  cell (ix, iy) = bias (vx[ix], vy[iy]); evaluate row by row
-///    with eval_grid_row (vx/vy lengths are independent);
-///  - pairs: cell i = bias (vx[i], vy[i]); evaluate contiguous chunks with
-///    eval_pairs (vx/vy must have equal length).
-/// Bias values are used as given — callers clamp to the supply range first.
+/// Transmission cascade over a bias grid: cell (ix, iy) = bias
+/// (vx[ix], vy[iy]), evaluated row by row with eval_grid_row. An arbitrary
+/// bias pair is a 1x1 grid. Bias values are used as given — callers clamp
+/// to the supply range first.
 class TransmissionKernel {
  public:
   TransmissionKernel(const metasurface::RotatorStack& stack,
@@ -61,10 +58,6 @@ class TransmissionKernel {
   /// Writes out[0..nx) = cascade at (vx[*], vy[iy]). Safe to call from
   /// parallel shards: eval is pure per cell and scratch is call-local.
   void eval_grid_row(std::size_t iy, em::JonesMatrix* out) const;
-
-  /// Writes out[0..end-begin) = cascade at (vx[i], vy[i]), i in [begin, end).
-  void eval_pairs(std::size_t begin, std::size_t end,
-                  em::JonesMatrix* out) const;
 
  private:
   /// One cascade step: a run of folded constants, or one tunable board
@@ -84,10 +77,6 @@ class TransmissionKernel {
     double cs = 0.0;
   };
 
-  template <int TyStride>
-  void eval_cells(std::size_t tx_offset, std::size_t ty_offset, std::size_t n,
-                  em::JonesMatrix* out) const;
-
   std::size_t nx_ = 0;
   std::size_t ny_ = 0;
   std::vector<Op> ops_;
@@ -96,8 +85,8 @@ class TransmissionKernel {
   StuckBlend blend_;
 };
 
-/// Reflection model over a bias plane; same dual grid/pairs shape contract
-/// as TransmissionKernel. Construction decomposes the deep bounce
+/// Reflection model over a bias grid; same shape contract as
+/// TransmissionKernel. Construction decomposes the deep bounce
 /// F^T rotated(diag(rx, ry)) F into three constant matrices weighted by the
 /// per-cell rotated-diagonal coefficients of (rx, ry), so evaluation is a
 /// closed-form expression per cell — no cascade loop at all.
@@ -113,14 +102,8 @@ class ReflectionKernel {
   [[nodiscard]] std::size_t ny() const { return ny_; }
 
   void eval_grid_row(std::size_t iy, em::JonesMatrix* out) const;
-  void eval_pairs(std::size_t begin, std::size_t end,
-                  em::JonesMatrix* out) const;
 
  private:
-  template <int LaneStride>
-  void eval_cells(std::size_t rx_offset, std::size_t ry_offset, std::size_t n,
-                  em::JonesMatrix* out) const;
-
   std::size_t nx_ = 0;
   std::size_t ny_ = 0;
   /// Deep-bounce S11 lanes of the target board (broadcast length 1 when the

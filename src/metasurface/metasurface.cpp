@@ -1,14 +1,11 @@
 #include "src/metasurface/metasurface.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 
 #include "src/common/contracts.h"
 #include "src/common/math_utils.h"
-#include "src/common/parallel.h"
-#include "src/kernel/jones_kernels.h"
 
 namespace llama::metasurface {
 
@@ -150,11 +147,6 @@ em::JonesMatrix Metasurface::healthy_response(common::Frequency f,
 
 namespace {
 
-/// Fixed pair-chunk size for response_batch: the work decomposition is part
-/// of the byte-determinism contract (it must not depend on the worker
-/// count), and chunks amortize the kernel's per-call scratch allocation.
-constexpr std::size_t kPairChunk = 256;
-
 /// Lane-space degraded blend from a stuck-cell fault. `stuck` is the stuck
 /// sub-aperture's response — a single scalar planned evaluation (the golden
 /// path); only the per-cell mixing happens inside the kernels.
@@ -186,91 +178,24 @@ JonesGrid Metasurface::response_grid(common::Frequency f, SurfaceMode mode,
   if (stuck_)
     blend = make_stuck_blend(
         *stuck_, planned_response(f, mode, stuck_->vx, stuck_->vy));
-  if (mode == SurfaceMode::kTransmissive) {
-    // Plan acquired ONCE per (f, mode); the kernel factors it into SoA
-    // lanes at construction and the sharded loop below only reads both by
-    // const-ref.
-    const RotatorStack::TransmissionPlan& plan = acquire_transmission_plan(f);
-    kernel::TransmissionKernel k{stack_, plan, vxs, vys};
-    if (blend) k.set_blend(*blend);
-    // Shard ownership: parallel_for hands each shard a disjoint set of row
-    // indices; shard iy writes only grid[iy], the kernel is shared
-    // read-only, and eval scratch is call-local — so the plane is
-    // byte-identical for any thread count.
-    common::parallel_for(vys.size(), threads, [&](std::size_t iy) {
-      k.eval_grid_row(iy, grid[iy].data());
-    });
-  } else {
-    const RotatorStack::ReflectionPlan& plan = acquire_reflection_plan(f);
-    kernel::ReflectionKernel k{stack_, plan, vxs, vys};
-    if (blend) k.set_blend(*blend);
-    // Shard ownership as above: shard iy writes only grid[iy].
-    common::parallel_for(vys.size(), threads, [&](std::size_t iy) {
-      k.eval_grid_row(iy, grid[iy].data());
-    });
-  }
+  std::vector<em::JonesMatrix*> rows(grid.size());
+  for (std::size_t iy = 0; iy < grid.size(); ++iy) rows[iy] = grid[iy].data();
+  // The plan is acquired ONCE per call; the kernel factors it into SoA lanes
+  // at construction and the sharded rows only read both by const-ref.
+  evaluate_plane(
+      stack_, mode,
+      [&]() -> const auto& { return acquire_transmission_plan(f); },
+      [&]() -> const auto& { return acquire_reflection_plan(f); }, vxs, vys,
+      blend ? &*blend : nullptr, threads, rows);
   LLAMA_ENSURES(grid.size() == vy_values.size() &&
                     (grid.empty() || grid.front().size() == vx_values.size()),
                 "bias-plane grid shape matches the requested axes");
   return grid;
 }
 
-std::vector<em::JonesMatrix> Metasurface::response_batch(
-    common::Frequency f, SurfaceMode mode, const BiasList& points,
-    int threads) const {
-  std::vector<em::JonesMatrix> out(points.size());
-  if (points.empty()) return out;
-  std::vector<double> vxs(points.size());
-  std::vector<double> vys(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    vxs[i] = checked_bias(points[i].first.value(),
-                          "Metasurface: response_batch vx");
-    vys[i] = checked_bias(points[i].second.value(),
-                          "Metasurface: response_batch vy");
-  }
-  std::optional<kernel::StuckBlend> blend;
-  if (stuck_)
-    blend = make_stuck_blend(
-        *stuck_, planned_response(f, mode, stuck_->vx, stuck_->vy));
-  const std::size_t chunks = (points.size() + kPairChunk - 1) / kPairChunk;
-  if (mode == SurfaceMode::kTransmissive) {
-    const RotatorStack::TransmissionPlan& plan = acquire_transmission_plan(f);
-    kernel::TransmissionKernel k{stack_, plan, vxs, vys};
-    if (blend) k.set_blend(*blend);
-    // Shard ownership: chunk c writes only out[c*kPairChunk .. end); the
-    // chunk grid is fixed, so results are byte-identical for any thread
-    // count.
-    common::parallel_for(chunks, threads, [&](std::size_t c) {
-      const std::size_t begin = c * kPairChunk;
-      const std::size_t end = std::min(begin + kPairChunk, points.size());
-      k.eval_pairs(begin, end, out.data() + begin);
-    });
-  } else {
-    const RotatorStack::ReflectionPlan& plan = acquire_reflection_plan(f);
-    kernel::ReflectionKernel k{stack_, plan, vxs, vys};
-    if (blend) k.set_blend(*blend);
-    // Shard ownership as above: chunk c writes only its own out range.
-    common::parallel_for(chunks, threads, [&](std::size_t c) {
-      const std::size_t begin = c * kPairChunk;
-      const std::size_t end = std::min(begin + kPairChunk, points.size());
-      k.eval_pairs(begin, end, out.data() + begin);
-    });
-  }
-  LLAMA_ENSURES(out.size() == points.size(),
-                "batched responses line up with the requested bias list");
-  return out;
-}
-
 common::Angle Metasurface::rotation_angle(common::Frequency f) const {
   return em::rotation_angle_of(
       planned_response(f, SurfaceMode::kTransmissive, vx_, vy_));
-}
-
-double Metasurface::transmission_efficiency_db(common::Frequency f,
-                                               bool y_excitation) const {
-  return metasurface::transmission_efficiency_db(
-      planned_response(f, SurfaceMode::kTransmissive, vx_, vy_),
-      y_excitation);
 }
 
 double Metasurface::dc_power_w() const {

@@ -6,11 +6,14 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "src/common/parallel.h"
 #include "src/common/units.h"
 #include "src/em/jones.h"
+#include "src/kernel/jones_kernels.h"
 #include "src/metasurface/designs.h"
 #include "src/metasurface/response_cache.h"
 #include "src/metasurface/rotator_stack.h"
@@ -57,9 +60,6 @@ struct StuckCellFault {
 /// (vy_values[iy], vx_values[ix]) — same layout as FullGridSweep::grid_dbm.
 using JonesGrid = std::vector<std::vector<em::JonesMatrix>>;
 
-/// A list of (Vx, Vy) bias pairs for batch evaluation.
-using BiasList = std::vector<std::pair<common::Voltage, common::Voltage>>;
-
 /// A bias voltage clamped to the 0-30 V supply range. A non-finite voltage
 /// throws std::invalid_argument "<what> must be finite" (std::clamp would
 /// pass NaN straight through), so `what` names the caller and argument.
@@ -71,11 +71,10 @@ using BiasList = std::vector<std::pair<common::Voltage, common::Voltage>>;
 /// paper's prototype, where all unit cells share the two DC bias rails.
 ///
 /// Thread contract: the const queries (response, response_grid,
-/// response_batch, rotation_angle, transmission_efficiency_db) memoize the
-/// per-(frequency, mode) plan and, when enabled, the response cache, so they
-/// are not safe to call concurrently on one object. Use one Metasurface per
-/// thread (a copy starts with cold memos and answers identically);
-/// response_grid and response_batch parallelize internally.
+/// rotation_angle) memoize the per-(frequency, mode) plan and, when enabled,
+/// the response cache, so they are not safe to call concurrently on one
+/// object. Use one Metasurface per thread (a copy starts with cold memos and
+/// answers identically); response_grid parallelizes internally.
 class Metasurface {
  public:
   explicit Metasurface(RotatorStack stack, LatticeSpec spec = {});
@@ -120,7 +119,7 @@ class Metasurface {
   [[nodiscard]] std::optional<ResponseCacheStats> response_cache_stats() const;
 
   /// Injects / clears a stuck-cell fault. The aggregate response of every
-  /// query (response, response_grid, response_batch) becomes
+  /// query (response, response_grid) becomes
   /// (1 - fraction) * response(commanded) + fraction * response(stuck) —
   /// the cache keeps memoizing only the pure healthy responses, so enabling
   /// a fault never poisons it. Throws std::invalid_argument when the
@@ -132,11 +131,11 @@ class Metasurface {
   }
 
   /// Batched evaluation of a whole bias plane at one frequency: returns
-  /// grid[iy][ix] = response at (vx_values[ix], vy_values[iy]). Biases are
-  /// checked and clamped to the supply range like set_bias. Evaluation runs
-  /// through the SoA kernel layer (src/kernel): the per-(f, mode) plan is
-  /// acquired once, axis lanes are built once, and rows are distributed over
-  /// `threads` workers (<= 0 picks a default). Every cell is a pure function of
+  /// grid[iy][ix] = response at (vx_values[ix], vy_values[iy]); an arbitrary
+  /// bias pair is a 1x1 plane. Biases are checked and clamped to the supply
+  /// range like set_bias. Evaluation runs through evaluate_plane: the
+  /// per-(f, mode) plan is acquired once, axis lanes are built once, and rows
+  /// are distributed over `threads` workers (<= 0 picks a default). Every cell is a pure function of
   /// (plan, axes, cell index), so the grid is byte-identical for any thread
   /// count (asserted by ResponseGrid.ThreadCountDoesNotChangeBytes); it
   /// agrees with pointwise response() calls to <= 1e-12 per component — the
@@ -151,18 +150,8 @@ class Metasurface {
                                         const std::vector<double>& vy_values,
                                         int threads = 0) const;
 
-  /// Batched evaluation of an arbitrary list of bias pairs (same contract
-  /// as response_grid, one result per input point).
-  [[nodiscard]] std::vector<em::JonesMatrix> response_batch(
-      common::Frequency f, SurfaceMode mode, const BiasList& points,
-      int threads = 0) const;
-
   /// Polarization rotation imparted in transmissive mode at frequency f.
   [[nodiscard]] common::Angle rotation_angle(common::Frequency f) const;
-
-  /// Transmission efficiency (paper Eq. 11) at the current bias.
-  [[nodiscard]] double transmission_efficiency_db(common::Frequency f,
-                                                  bool y_excitation) const;
 
   /// DC power drawn from the bias supply: V * I_leak summed over both rails
   /// — nanowatts, the paper's "can work even with one buffer capacitor".
@@ -185,10 +174,9 @@ class Metasurface {
                                                  SurfaceMode mode) const;
 
   /// Acquire (building only when the memoized frequency differs) the
-  /// per-frequency plan. Hoisted out of the batched loops: response_grid /
-  /// response_batch touch the plan slot exactly once per call and hand the
-  /// plan to the kernels by const-ref; the sharded bodies never see the
-  /// mutable slot.
+  /// per-frequency plan. Hoisted out of the batched loop: response_grid
+  /// touches the plan slot exactly once per call and hands the plan to the
+  /// kernel by const-ref; the sharded body never sees the mutable slot.
   [[nodiscard]] const RotatorStack::TransmissionPlan& acquire_transmission_plan(
       common::Frequency f) const;
   [[nodiscard]] const RotatorStack::ReflectionPlan& acquire_reflection_plan(
@@ -208,5 +196,35 @@ class Metasurface {
   mutable std::optional<std::pair<double, RotatorStack::ReflectionPlan>>
       reflection_plan_;
 };
+
+/// The one place a bias plane meets the SoA kernels (src/kernel), shared by
+/// Metasurface::response_grid and deploy::SharedResponseEngine. Builds the
+/// kernel for `mode` on the plan that transmission_plan() or
+/// reflection_plan() returns (only the one `mode` needs is called), mixes in
+/// `blend` when it is non-null, and writes row iy of the already clamped
+/// plane vxs x vys to rows[iy], over `threads` workers. Every cell is a pure
+/// function of (plan, vx, vy), so its bytes depend neither on the plane's
+/// shape nor on the thread count.
+template <class TransmissionPlanFn, class ReflectionPlanFn>
+void evaluate_plane(const RotatorStack& stack, SurfaceMode mode,
+                    TransmissionPlanFn&& transmission_plan,
+                    ReflectionPlanFn&& reflection_plan,
+                    std::span<const double> vxs, std::span<const double> vys,
+                    const kernel::StuckBlend* blend, int threads,
+                    std::span<em::JonesMatrix* const> rows) {
+  const auto run = [&](auto&& k) {
+    if (blend) k.set_blend(*blend);
+    // Shard ownership: parallel_for hands each shard a disjoint set of row
+    // indices; shard iy writes only rows[iy], the kernel is shared
+    // read-only, and eval scratch is call-local.
+    common::parallel_for(vys.size(), threads, [&](std::size_t iy) {
+      k.eval_grid_row(iy, rows[iy]);
+    });
+  };
+  if (mode == SurfaceMode::kTransmissive)
+    run(kernel::TransmissionKernel{stack, transmission_plan(), vxs, vys});
+  else
+    run(kernel::ReflectionKernel{stack, reflection_plan(), vxs, vys});
+}
 
 }  // namespace llama::metasurface

@@ -53,10 +53,7 @@ ResponseCache::Key ResponseCache::make_key(common::Frequency f,
 
 std::optional<em::JonesMatrix> ResponseCache::find(const Key& key) {
   const auto it = map_.find(key);
-  if (it == map_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
+  if (it == map_.end()) return std::nullopt;
   hits_.fetch_add(1, std::memory_order_relaxed);
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->value;
@@ -65,10 +62,12 @@ std::optional<em::JonesMatrix> ResponseCache::find(const Key& key) {
 void ResponseCache::insert(const Key& key, const em::JonesMatrix& value) {
   const auto it = map_.find(key);
   if (it != map_.end()) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
     it->second->value = value;
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
+  misses_.fetch_add(1, std::memory_order_relaxed);
   lru_.push_front(Entry{key, value});
   map_.emplace(key, lru_.begin());
   while (map_.size() > config_.capacity) {
@@ -76,16 +75,6 @@ void ResponseCache::insert(const Key& key, const em::JonesMatrix& value) {
     lru_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-void ResponseCache::clear() {
-  lru_.clear();
-  map_.clear();
-  // A cleared cache starts a fresh measurement epoch: stale hit/miss/eviction
-  // counters would silently blend into the next run's statistics.
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace llama::metasurface

@@ -31,10 +31,16 @@ struct ResponseCacheConfig {
 
 /// Snapshot of the cache's counters. The live counters are relaxed atomics
 /// (see stats()), so a snapshot is safe to take from any thread at any time
-/// — including while other threads are inside the two-lock grid path of
+/// — including while other threads are inside the two-lock window path of
 /// deploy::SharedResponseEngine — without tearing and without serializing
-/// on the cache lock. Counters are monotone between clear() calls; a
-/// snapshot racing concurrent lookups sees some valid intermediate state.
+/// on the cache lock. Counters are monotone; a snapshot racing concurrent
+/// lookups sees some valid intermediate state.
+///
+/// A key is counted once as a miss — when insert() first files it — and
+/// every other lookup of it as a hit, including an insert() that finds the
+/// key already filed by a racing owner. So once the lookups settle, misses
+/// equal the distinct keys evaluated (absent evictions) and hits the
+/// remaining lookups, however concurrent owners interleaved.
 struct ResponseCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -73,19 +79,19 @@ class ResponseCache {
   [[nodiscard]] Key make_key(common::Frequency f, common::Voltage vx_q,
                              common::Voltage vy_q, int mode) const;
 
-  /// Returns the cached response and refreshes its recency, or nullopt.
+  /// Returns the cached response and refreshes its recency (counting a
+  /// hit), or nullopt (counting nothing: the miss is counted by the insert
+  /// that follows it).
   [[nodiscard]] std::optional<em::JonesMatrix> find(const Key& key);
 
-  /// Inserts (or refreshes) an entry, evicting the LRU tail when full.
+  /// Files a value found missing: a new key counts one miss and evicts the
+  /// LRU tail when full; a key already filed (a racing owner published it
+  /// first) counts one hit and is refreshed.
   void insert(const Key& key, const em::JonesMatrix& value);
 
-  /// Drops every entry and zeroes the hit/miss/eviction statistics — a
-  /// cleared cache reports a fresh epoch, not the previous run's counters.
-  void clear();
-  [[nodiscard]] std::size_t size() const { return map_.size(); }
   /// Counter snapshot, safe without external locking (see
-  /// ResponseCacheStats). The map/LRU accessors (find/insert/size) still
-  /// require the owner's usual synchronization.
+  /// ResponseCacheStats). The map/LRU accessors (find/insert) still require
+  /// the owner's usual synchronization.
   [[nodiscard]] ResponseCacheStats stats() const {
     ResponseCacheStats s;
     s.hits = hits_.load(std::memory_order_relaxed);

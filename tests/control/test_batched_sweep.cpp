@@ -48,20 +48,6 @@ TEST(GridOf, ProbesVxOuterVyInner) {
                     static_cast<double>(iy + 4));
 }
 
-TEST(BatchOf, ProbesInListOrder) {
-  std::vector<double> seen;
-  const BatchPowerProbe probe = batch_of([&](Voltage vx, Voltage vy) {
-    seen.push_back(vx.value());
-    return PowerDbm{-vy.value()};
-  });
-  const std::vector<PowerDbm> powers = probe(
-      {{Voltage{3.0}, Voltage{1.0}}, {Voltage{1.0}, Voltage{2.0}}});
-  EXPECT_EQ(seen, (std::vector<double>{3.0, 1.0}));
-  ASSERT_EQ(powers.size(), 2u);
-  EXPECT_EQ(powers[0].value(), -1.0);
-  EXPECT_EQ(powers[1].value(), -2.0);
-}
-
 TEST(FullGridSweepBatched, RepeatedRunsDoNotLeakState) {
   const GridPowerProbe probe = grid_of(gaussian_peak(18.0, 6.0));
   PowerSupply psu;

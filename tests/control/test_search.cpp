@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 namespace llama::control {
@@ -24,7 +25,7 @@ PowerProbe gaussian_peak(double vx_star, double vy_star, double width = 8.0) {
 TEST(RandomSearch, FindsDecentPointWithBudget) {
   PowerSupply psu;
   RandomSearch search{psu, {}, common::Rng{1}};
-  const SweepResult r = search.run(batch_of(gaussian_peak(20.0, 10.0)));
+  const SweepResult r = search.run(gaussian_peak(20.0, 10.0));
   EXPECT_EQ(r.probes, 50);
   EXPECT_GT(r.best_power.value(), -34.0);  // within a few dB of the peak
 }
@@ -35,7 +36,7 @@ TEST(RandomSearch, RespectsVoltageRange) {
   opt.v_min = Voltage{5.0};
   opt.v_max = Voltage{10.0};
   RandomSearch search{psu, opt, common::Rng{2}};
-  const SweepResult r = search.run(batch_of(gaussian_peak(0.0, 0.0)));
+  const SweepResult r = search.run(gaussian_peak(0.0, 0.0));
   EXPECT_GE(r.best_vx.value(), 5.0);
   EXPECT_LE(r.best_vx.value(), 10.0);
 }
@@ -46,25 +47,25 @@ TEST(RandomSearch, DeterministicPerSeed) {
   RandomSearch a{psu1, {}, common::Rng{7}};
   RandomSearch b{psu2, {}, common::Rng{7}};
   EXPECT_DOUBLE_EQ(
-      a.run(batch_of(gaussian_peak(12.0, 8.0))).best_power.value(),
-      b.run(batch_of(gaussian_peak(12.0, 8.0))).best_power.value());
+      a.run(gaussian_peak(12.0, 8.0)).best_power.value(),
+      b.run(gaussian_peak(12.0, 8.0)).best_power.value());
 }
 
 TEST(RandomSearch, AllFloorProbesStillReportAProbedBias) {
   // Regression: the winner started from a -1e9 dBm sentinel at the default
-  // (0, 0) V, so a batch reading at/below the sentinel (or all NaN) reported
-  // a bias that was never drawn, at a fabricated power.
+  // (0, 0) V, so readings at/below the sentinel (or all NaN) reported a
+  // bias that was never drawn, at a fabricated power.
   for (const double floor : {-2e9, std::nan("")}) {
     PowerSupply psu;
     RandomSearch search{psu, {}, common::Rng{5}};
-    BiasPairList drawn;
-    const SweepResult r = search.run([&](const BiasPairList& points) {
-      drawn = points;
-      return std::vector<PowerDbm>(points.size(), PowerDbm{floor});
+    std::vector<std::pair<double, double>> drawn;
+    const SweepResult r = search.run([&](Voltage vx, Voltage vy) {
+      drawn.emplace_back(vx.value(), vy.value());
+      return PowerDbm{floor};
     });
     ASSERT_FALSE(drawn.empty());
-    EXPECT_EQ(r.best_vx.value(), drawn.front().first.value());
-    EXPECT_EQ(r.best_vy.value(), drawn.front().second.value());
+    EXPECT_EQ(r.best_vx.value(), drawn.front().first);
+    EXPECT_EQ(r.best_vy.value(), drawn.front().second);
     const double expected =
         std::isnan(floor) ? -std::numeric_limits<double>::infinity() : floor;
     EXPECT_EQ(r.best_power.value(), expected);
@@ -192,7 +193,7 @@ TEST_P(SearchRange, EverySearchRejectsItBeforeProbing) {
         RandomSearch::Options o;
         o.v_min = lo;
         o.v_max = hi;
-        (void)RandomSearch(psu, o, common::Rng{1}).run(batch_of(probe));
+        (void)RandomSearch(psu, o, common::Rng{1}).run(probe);
       },
       std::invalid_argument);
   EXPECT_THROW(
@@ -240,7 +241,7 @@ TEST_P(SearchComparison, StructuredBeatsOrMatchesRandom) {
   RandomSearch random{psu2, {}, common::Rng{static_cast<std::uint64_t>(
                                     px * 100 + py)}};
   const double alg1_best = alg1.run(grid_of(probe)).best_power.value();
-  const double random_best = random.run(batch_of(probe)).best_power.value();
+  const double random_best = random.run(probe).best_power.value();
   // Allow a few dB of tolerance: random occasionally gets lucky, and
   // Algorithm 1's refinement window only extends BELOW the coarse winner
   // (paper: Vr_{n+1} = [v - Vs, v]), so a peak just above a coarse grid

@@ -1,13 +1,15 @@
 // Pins the bias searches bit for bit. The literals were recorded while every
 // search still had two bodies — a pointwise one that probed cell by cell and
-// a grid/batch one — and are reproduced by the single grid/batch body with
-// pointwise probes lifted through grid_of/batch_of:
+// a grid/batch one — and are reproduced by the single body each search has
+// now, with pointwise probes lifted through grid_of for the sweeps:
 //
 //  - noisy LlamaSystem::optimize_link() rounds (the quickstart link and one
 //    point each of Figs. 16-19 and 22): the OptimizationReport, the
 //    Algorithm-1 trace, and one follow-up measure_with_surface(), which pins
 //    how far the receiver and interference RNG streams advanced;
-//  - FullGridSweep, CoarseToFineSweep and RandomSearch on a synthetic plant;
+//  - FullGridSweep, CoarseToFineSweep and RandomSearch on a synthetic plant,
+//    and the search ablation's random-search row (recorded over the bias-pair
+//    batch probe it ran on before it moved to 1x1 grid-probe windows);
 //  - HysteresisResweep's TrackReport on a swinging wearable (the hash was
 //    equal for the serial and the batched re-sweep paths it replaced).
 #include <gtest/gtest.h>
@@ -205,18 +207,21 @@ TEST(SweepGolden, CoarseToFineSweepOnSyntheticPlant) {
 TEST(SweepGolden, RandomSearchOnSyntheticPlant) {
   PowerSupply psu;
   RandomSearch search{psu, {}, common::Rng{42}};
-  const SweepResult r = search.run(batch_of(gaussian_peak(11.0, 27.0)));
+  const SweepResult r = search.run(gaussian_peak(11.0, 27.0));
   expect_sweep(r, 0x1.7bb0997e7a14bp+3, 0x1.bf887cdce5bbfp+4,
                -0x1.e43a66e1891f9p+4, 50, 0x1.0000000000002p+0);
 }
 
 TEST(SweepGolden, AblationRandomSearchOnTheMismatchLink) {
   // bench_paper's search-ablation random-search row: 50 noise-free
-  // expected-power probes on the quickstart link.
+  // expected-power probes on the quickstart link, one 1x1 window each.
   core::LlamaSystem sys{core::transmissive_mismatch_config()};
+  const GridPowerProbe grid = sys.make_grid_probe();
   PowerSupply psu;
   RandomSearch search{psu, {}, common::Rng{99}};
-  const SweepResult r = search.run(sys.make_batch_probe());
+  const SweepResult r = search.run([&](Voltage vx, Voltage vy) {
+    return grid({vx.value()}, {vy.value()})[0][0];
+  });
   expect_sweep(r, 0x1.03a84cfefb2b5p+1, 0x1.d98acc5f9ee87p+4,
                -0x1.4c075baa3973p+4, 50, 0x1.0000000000002p+0);
 }

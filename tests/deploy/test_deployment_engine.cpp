@@ -76,24 +76,10 @@ TEST(SharedResponseEngine, GridMatchesPointwiseAndFillsCache) {
                                         Voltage{vxs[ix]}, Voltage{vys[iy]}),
                         grid[iy][ix], 0.0, "grid cell vs pointwise");
   }
+  // Every cell of the window is a distinct key, filed once.
   const metasurface::ResponseCacheStats stats = engine.cache_stats();
   EXPECT_GT(stats.hits, 0u);
-  EXPECT_EQ(engine.cache_size(), vxs.size() * vys.size());
-}
-
-TEST(SharedResponseEngine, ClearDropsPlansCacheAndStats) {
-  SharedResponseEngine engine{metasurface::prototype_fr4_design()};
-  const Frequency f = Frequency::ghz(2.44);
-  (void)engine.response(f, SurfaceMode::kTransmissive, Voltage{5.0},
-                        Voltage{5.0});
-  (void)engine.response(f, SurfaceMode::kTransmissive, Voltage{5.0},
-                        Voltage{5.0});
-  EXPECT_GT(engine.plan_count(), 0u);
-  engine.clear();
-  EXPECT_EQ(engine.plan_count(), 0u);
-  EXPECT_EQ(engine.cache_size(), 0u);
-  EXPECT_EQ(engine.cache_stats().hits, 0u);
-  EXPECT_EQ(engine.cache_stats().misses, 0u);
+  EXPECT_EQ(stats.misses, vxs.size() * vys.size());
 }
 
 TEST(SharedResponseEngine, RejectsNonFiniteBiases) {
@@ -130,7 +116,6 @@ TEST(SharedResponseEngine, RejectsNonFiniteBiases) {
             }),
             "SharedResponseEngine: response_grid vys must be finite");
   // Rejected before any lookup: nothing cached, nothing counted.
-  EXPECT_EQ(engine.cache_size(), 0u);
   EXPECT_EQ(engine.cache_stats().hits + engine.cache_stats().misses, 0u);
 }
 

@@ -1,15 +1,20 @@
 // Regression for the ResponseCache statistics under concurrency: the
 // counters are relaxed atomics, so (a) a monitor may poll cache_stats()
-// while device shards are inside SharedResponseEngine's two-lock grid path
+// while device shards are inside SharedResponseEngine's two-lock window path
 // without tearing or serializing, and (b) no increment is ever lost — after
 // the dust settles, hits + misses equals the exact number of lookups
-// issued, for any interleaving.
+// issued, for any interleaving. (c) The split does not depend on the
+// interleaving either: a key counts one miss when it is first published,
+// so misses equal the distinct keys, and a deployment round reports the
+// same counts at any worker count.
 #include <atomic>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/scenarios.h"
 #include "src/deploy/deployment_engine.h"
 #include "src/metasurface/designs.h"
 
@@ -71,17 +76,38 @@ TEST(SharedEngineConcurrency, StatsStayConsistentUnderConcurrentReaders) {
   done.store(true);
   monitor.join();
 
-  // Every lookup counted exactly once: one find() per point probe, one per
-  // grid cell in the window's first pass.
+  // Every lookup counted exactly once: one per point probe, one per grid
+  // cell. The point keys (v, v) for v in 0..7 and the 4x4 grid keys share
+  // only (0, 0): 23 distinct keys, each one miss.
   const std::uint64_t expected_lookups =
       static_cast<std::uint64_t>(kPointThreads) * kPointLookups +
       static_cast<std::uint64_t>(kGridThreads) * kGridWindows *
           window.size() * window.size();
   const metasurface::ResponseCacheStats s = engine.cache_stats();
   EXPECT_EQ(s.hits + s.misses, expected_lookups);
-  EXPECT_GT(s.hits, 0u);
-  EXPECT_GT(s.misses, 0u);
+  EXPECT_EQ(s.misses, 23u);
   EXPECT_EQ(s.evictions, 0u);  // capacity far exceeds the key set
+}
+
+TEST(SharedEngineConcurrency, RoundStatsDoNotDependOnTheWorkerCount) {
+  const core::DenseDeploymentScenario s = core::dense_deployment_scenario(24, 4);
+  std::optional<metasurface::ResponseCacheStats> serial;
+  for (const int threads : {1, 2, 4, 8}) {
+    DeploymentConfig config = s.config;
+    config.threads = threads;
+    DeploymentEngine engine{config};
+    const metasurface::ResponseCacheStats stats =
+        engine.run(s.devices).cache_stats;
+    if (!serial) {
+      serial = stats;
+      EXPECT_GT(stats.hits, 0u);
+      EXPECT_GT(stats.misses, 0u);
+      continue;
+    }
+    EXPECT_EQ(stats.hits, serial->hits) << threads << " workers";
+    EXPECT_EQ(stats.misses, serial->misses) << threads << " workers";
+    EXPECT_EQ(stats.evictions, serial->evictions) << threads << " workers";
+  }
 }
 
 }  // namespace

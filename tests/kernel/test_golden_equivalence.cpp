@@ -30,7 +30,6 @@ using common::Frequency;
 using common::Rng;
 using common::Voltage;
 using em::JonesMatrix;
-using metasurface::BiasList;
 using metasurface::JonesGrid;
 using metasurface::Metasurface;
 using metasurface::RotatorStack;
@@ -109,7 +108,8 @@ TEST(GoldenEquivalence, RandomGridsMatchScalarWithinTolerance) {
   }
 }
 
-/// Property 1 for response_batch: arbitrary bias pairs, both modes.
+/// Property 1 for arbitrary biases: random points as 1x1 windows and
+/// random-axis windows, both modes.
 TEST(GoldenEquivalence, RandomBatchesMatchScalarWithinTolerance) {
   Rng rng{0xC0FFEE02};
   for (NamedDesign& d : all_designs()) {
@@ -118,20 +118,25 @@ TEST(GoldenEquivalence, RandomBatchesMatchScalarWithinTolerance) {
          {SurfaceMode::kTransmissive, SurfaceMode::kReflective}) {
       const Frequency f =
           Frequency::ghz(d.center_ghz * rng.uniform(0.95, 1.05));
-      BiasList points;
-      for (int i = 0; i < 23; ++i)
-        points.emplace_back(Voltage{rng.uniform(-2.0, 33.0)},
-                            Voltage{rng.uniform(-2.0, 33.0)});
-      const std::vector<JonesMatrix> batch =
-          surface.response_batch(f, mode, points);
-      ASSERT_EQ(batch.size(), points.size());
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        const JonesMatrix golden =
-            scalar_cell(surface, f, mode, points[i].first.value(),
-                        points[i].second.value());
-        EXPECT_LE(max_component_diff(batch[i], golden), kTol)
+      for (int i = 0; i < 23; ++i) {
+        const double vx = rng.uniform(-2.0, 33.0);
+        const double vy = rng.uniform(-2.0, 33.0);
+        const JonesGrid cell = surface.response_grid(f, mode, {vx}, {vy});
+        EXPECT_LE(max_component_diff(cell[0][0],
+                                     scalar_cell(surface, f, mode, vx, vy)),
+                  kTol)
             << d.name << " point " << i;
       }
+      const std::vector<double> vxs = random_axis(rng, 3);
+      const std::vector<double> vys = random_axis(rng, 4);
+      const JonesGrid grid = surface.response_grid(f, mode, vxs, vys);
+      for (std::size_t iy = 0; iy < vys.size(); ++iy)
+        for (std::size_t ix = 0; ix < vxs.size(); ++ix)
+          EXPECT_LE(max_component_diff(grid[iy][ix],
+                                       scalar_cell(surface, f, mode, vxs[ix],
+                                                   vys[iy])),
+                    kTol)
+              << d.name << " window cell (" << ix << ", " << iy << ")";
     }
   }
 }
@@ -271,68 +276,6 @@ TEST(GoldenEquivalence, CellBytesDoNotDependOnWindowShapeOrPosition) {
       EXPECT_EQ(mismatches, 0u)
           << d.name << " mode=" << static_cast<int>(mode);
     }
-  }
-}
-
-/// Property 2 for response_batch: the fixed pair-chunk decomposition must
-/// make batches byte-identical for any worker count.
-TEST(GoldenEquivalence, ThreadCountDoesNotChangeBatchBytes) {
-  Rng rng{0xC0FFEE05};
-  Metasurface surface{metasurface::optimized_fr4_design()};
-  BiasList points;
-  for (int i = 0; i < 700; ++i)  // spans multiple 256-pair chunks
-    points.emplace_back(Voltage{rng.uniform(0.0, 30.0)},
-                        Voltage{rng.uniform(0.0, 30.0)});
-  const Frequency f = Frequency::ghz(2.44);
-  for (const SurfaceMode mode :
-       {SurfaceMode::kTransmissive, SurfaceMode::kReflective}) {
-    const std::vector<JonesMatrix> baseline =
-        surface.response_batch(f, mode, points, /*threads=*/1);
-    for (const int threads : {2, 8}) {
-      const std::vector<JonesMatrix> other =
-          surface.response_batch(f, mode, points, threads);
-      ASSERT_EQ(other.size(), baseline.size());
-      EXPECT_EQ(std::memcmp(other.data(), baseline.data(),
-                            baseline.size() * sizeof(JonesMatrix)),
-                0)
-          << "mode=" << static_cast<int>(mode) << " threads=" << threads;
-    }
-  }
-}
-
-/// Property 3 across shapes: a bias pair evaluated in a batch has the bytes
-/// of the same pair evaluated as a 1x1 grid window — the ablation's random
-/// search may move from response_batch to 1x1 windows without changing a
-/// bit. 700 random points per (mode, carrier), with and without a stuck-cell
-/// blend.
-TEST(GoldenEquivalence, BatchCellsMatchOneCellWindowBytes) {
-  Rng rng{0xC0FFEE06};
-  BiasList points;
-  for (int i = 0; i < 700; ++i)
-    points.emplace_back(Voltage{rng.uniform(-2.0, 33.0)},
-                        Voltage{rng.uniform(-2.0, 33.0)});
-  Metasurface surface = Metasurface::llama_prototype();
-  for (const bool stuck : {false, true}) {
-    if (stuck)
-      surface.set_stuck_cells(
-          metasurface::StuckCellFault{0.3, Voltage{4.0}, Voltage{21.0}});
-    for (const SurfaceMode mode :
-         {SurfaceMode::kTransmissive, SurfaceMode::kReflective})
-      for (const double ghz : {2.40, 2.44, 2.48}) {
-        const Frequency f = Frequency::ghz(ghz);
-        const std::vector<JonesMatrix> batch =
-            surface.response_batch(f, mode, points);
-        ASSERT_EQ(batch.size(), points.size());
-        std::size_t mismatches = 0;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-          const JonesGrid cell =
-              surface.response_grid(f, mode, {points[i].first.value()},
-                                    {points[i].second.value()});
-          if (!same_bytes(cell[0][0], batch[i])) ++mismatches;
-        }
-        EXPECT_EQ(mismatches, 0u) << "stuck=" << stuck << " mode="
-                                  << static_cast<int>(mode) << " f=" << ghz;
-      }
   }
 }
 
