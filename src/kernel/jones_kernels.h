@@ -2,7 +2,10 @@
 //
 // The scalar planned path (RotatorStack::transmission/reflection over a
 // plan) evaluates one (Vx, Vy) cell at a time; these kernels evaluate a
-// whole plane. Construction factors the plan into per-axis lanes — for each
+// whole plane. A plane has one shape, a grid: cell (ix, iy) is bias
+// (vx[ix], vy[iy]), and an arbitrary bias pair is a 1x1 grid. Callers build
+// and run a kernel through metasurface::evaluate_plane (metasurface.h).
+// Construction factors the plan into per-axis lanes — for each
 // tunable board, tx depends only on Vx and ty only on Vy, so an nx-by-ny
 // grid needs nx + ny board solves (src/kernel/board_kernels) instead of
 // nx * ny — and folds every run of consecutive static boards and air gaps
@@ -15,9 +18,9 @@
 // Contract with the scalar golden reference: the kernels may reassociate
 // (constant folding, naive complex division), so results agree with the
 // planned scalar path to <= 1e-12 per component — NOT bit-for-bit. Within
-// the kernel itself every cell is a pure function of (plan, axes, cell
-// index), so one kernel instance produces byte-identical planes for any
-// thread count / shard shape; both properties are asserted by
+// the kernel path every cell is a pure function of (plan, vx, vy), so its
+// bytes depend neither on the thread count nor on the grid's shape or the
+// cell's place in it; both properties are asserted by
 // tests/kernel/test_golden_equivalence.cpp.
 #pragma once
 

@@ -1,6 +1,12 @@
 // The deployed metasurface: a lattice of rotator unit cells plus the
 // physical bookkeeping the paper reports (Section 4): aperture size, unit
 // count, varactor count, leakage current and bill-of-materials cost.
+//
+// A surface answers for one bias pair (response, through the scalar
+// planned cascade, the golden reference) or for a whole bias grid
+// (response_grid, through the SoA kernels). A grid is the only plane
+// shape: an arbitrary bias pair is a 1x1 grid. evaluate_plane, at the end
+// of this header, is the one place a plane meets the kernels.
 #pragma once
 
 #include <cstddef>
